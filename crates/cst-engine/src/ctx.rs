@@ -3,7 +3,7 @@
 //! [`EngineCtx`] reaches a zero-allocation steady state (asserted by the
 //! workspace's allocation-gate test for the serial CSA).
 
-use crate::cache::{CacheStats, ScheduleCache};
+use crate::cache::{batch_representatives, CacheStats, OutcomeCache};
 use crate::degrade::DegradationReport;
 use crate::outcome::{PhaseTimings, RouteExtra, RouteOutcome};
 use crate::registry;
@@ -50,7 +50,7 @@ pub struct EngineCtx {
     /// Schedule cache; `None` until the first `route_cached`-family call
     /// (or an explicit [`EngineCtx::enable_cache`]). Plain `route` never
     /// consults it.
-    pub(crate) cache: Option<ScheduleCache>,
+    pub(crate) cache: Option<OutcomeCache>,
     /// Replay buffers for the compiled-replay path; outcomes come back
     /// through [`EngineCtx::recycle_sim`].
     pub(crate) replay: cst_sim::ReplayScratch,
@@ -144,12 +144,12 @@ impl EngineCtx {
     /// entries but keeps nothing else; pass 0 to disable caching while
     /// keeping the `route_cached` call sites intact.
     pub fn enable_cache(&mut self, capacity: usize) {
-        self.cache = Some(ScheduleCache::new(capacity));
+        self.cache = Some(OutcomeCache::new(capacity));
     }
 
     /// Counters of the schedule cache, if one has been created.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.cache.as_ref().map(|c| c.lru.stats())
     }
 
     /// How many compiled programs the cache has built so far. Pinned by
@@ -165,7 +165,8 @@ impl EngineCtx {
     #[doc(hidden)]
     pub fn set_cache_fp_bits(&mut self, bits: u32) {
         self.cache
-            .get_or_insert_with(|| ScheduleCache::new(DEFAULT_CACHE_CAPACITY))
+            .get_or_insert_with(|| OutcomeCache::new(DEFAULT_CACHE_CAPACITY))
+            .lru
             .set_fp_bits(bits);
     }
 
@@ -181,18 +182,6 @@ impl EngineCtx {
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
         self.route_cached_inner(router, topo, set, None)
-    }
-
-    /// [`EngineCtx::route_cached`] through the registry by stable name.
-    pub fn route_named_cached(
-        &mut self,
-        name: &str,
-        topo: &CstTopology,
-        set: &CommSet,
-    ) -> Result<RouteOutcome, CstError> {
-        let router = registry::find(name)
-            .ok_or_else(|| CstError::UnknownRouter { name: name.to_string() })?;
-        self.route_cached_inner(router.as_ref(), topo, set, None)
     }
 
     /// [`EngineCtx::route_masked`] through the schedule cache. The mask
@@ -224,17 +213,9 @@ impl EngineCtx {
         topo: &CstTopology,
         sets: &[CommSet],
     ) -> Result<Vec<RouteOutcome>, CstError> {
-        // representative[i] = first index whose set equals sets[i]
-        // (fingerprint prefilter, equality to confirm — collisions must
-        // not merge distinct requests).
+        // representative[i] = first index whose set equals sets[i].
         let fps: Vec<u64> = sets.iter().map(|s| s.fingerprint()).collect();
-        let representative: Vec<usize> = (0..sets.len())
-            .map(|i| {
-                (0..i)
-                    .find(|&j| fps[j] == fps[i] && sets[j] == sets[i])
-                    .unwrap_or(i)
-            })
-            .collect();
+        let representative = batch_representatives(&fps, |j, i| sets[j] == sets[i]);
 
         // One pass in input order: a representative routes through the
         // cache; a duplicate copies from its representative's outcome,
@@ -263,11 +244,6 @@ impl EngineCtx {
         Ok(outcomes)
     }
 
-    /// The cache key of one request (see [`request_fingerprint`]).
-    fn request_fp(router: &str, set: &CommSet, mask: Option<&FaultMask>) -> u64 {
-        request_fingerprint(router, set, mask)
-    }
-
     /// Route through the schedule cache **and** execute the schedule on
     /// the compiled-replay simulator in one call.
     ///
@@ -287,18 +263,6 @@ impl EngineCtx {
         set: &CommSet,
     ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
         self.route_compiled_inner(router, topo, set, None)
-    }
-
-    /// [`EngineCtx::route_compiled`] through the registry by stable name.
-    pub fn route_named_compiled(
-        &mut self,
-        name: &str,
-        topo: &CstTopology,
-        set: &CommSet,
-    ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
-        let router = registry::find(name)
-            .ok_or_else(|| CstError::UnknownRouter { name: name.to_string() })?;
-        self.route_compiled_inner(router.as_ref(), topo, set, None)
     }
 
     /// [`EngineCtx::route_masked`] plus compiled replay of the degraded
@@ -334,7 +298,7 @@ impl EngineCtx {
         mask: Option<&FaultMask>,
     ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
         let out = self.route_cached_inner(router, topo, set, mask)?;
-        let fp = Self::request_fp(router.name(), set, mask);
+        let fp = request_fingerprint(router.name(), set, mask);
         let payloads = cst_sim::default_payloads(set);
         // Warm path: the entry this request just hit (or inserted) holds
         // the compiled program; replay it through the context's scratch.
@@ -367,22 +331,19 @@ impl EngineCtx {
         mask: Option<&FaultMask>,
     ) -> Result<RouteOutcome, CstError> {
         let t0 = Instant::now();
-        let fp = Self::request_fp(router.name(), set, mask);
+        let fp = request_fingerprint(router.name(), set, mask);
         // Hit path: cache and pool are disjoint fields, so the cached
         // schedule can be copied out through pooled round shells while
         // the entry is still borrowed.
-        let cache = self
-            .cache
-            .get_or_insert_with(|| ScheduleCache::new(DEFAULT_CACHE_CAPACITY));
-        if let Some(entry) = cache.lookup(fp, router.name(), set, mask) {
+        let cache = self.cache.get_or_insert_with(|| OutcomeCache::new(DEFAULT_CACHE_CAPACITY));
+        if let Some(entry) = cache.lru.lookup(fp, router.name(), set, mask) {
             let schedule = self.pool.copy_schedule(&entry.schedule);
-            let rounds = entry.rounds;
-            let router_name = entry.router;
+            let rounds = entry.schedule.num_rounds();
             let power = entry.power.clone();
             let degradation = entry.degradation.clone();
-            let stats = cache.stats();
+            let stats = cache.lru.stats();
             return Ok(RouteOutcome {
-                router: router_name,
+                router: router.name(),
                 schedule,
                 rounds,
                 power,
@@ -401,28 +362,14 @@ impl EngineCtx {
         // takes — and the displaced victim schedule recirculates into the
         // pool. With the cache disabled the schedule comes straight back.
         let fresh = std::mem::take(&mut out.schedule);
-        let cache = self
-            .cache
-            .get_or_insert_with(|| ScheduleCache::new(DEFAULT_CACHE_CAPACITY));
-        let ins = cache.insert(
-            fp,
-            out.router,
-            set,
-            mask,
-            fresh,
-            &out.power,
-            out.degradation.as_ref(),
-        );
-        out.schedule = match (ins.displaced, ins.resident) {
-            (displaced, Some(entry_schedule)) => {
-                let copy = self.pool.copy_schedule(entry_schedule);
-                if let Some(victim) = displaced {
-                    self.pool.put_schedule(victim);
-                }
+        let cache = self.cache.get_or_insert_with(|| OutcomeCache::new(DEFAULT_CACHE_CAPACITY));
+        out.schedule = match cache.store(fp, set, mask, &out, fresh) {
+            Ok((resident, displaced)) => {
+                let copy = self.pool.copy_schedule(resident);
+                self.pool.put_schedule(displaced);
                 copy
             }
-            (Some(original), None) => original,
-            (None, None) => unreachable!("disabled cache returns the input schedule"),
+            Err(fresh) => fresh,
         };
         Ok(out)
     }

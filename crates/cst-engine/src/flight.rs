@@ -21,6 +21,7 @@
 //! calling user code, so the primitive composes with any cache or
 //! routing locks the caller holds before/after.
 
+use crate::cache::RequestKey;
 use cst_comm::CommSet;
 use cst_core::FaultMask;
 use std::collections::HashMap;
@@ -43,13 +44,13 @@ struct Flight {
 }
 
 /// Table entry: the flight plus the leader's full request key, so
-/// joiners can refuse to coalesce across a fingerprint collision.
+/// joiners can refuse to coalesce across a fingerprint collision. The
+/// router name is owned: flights admit names the registry has not
+/// validated yet.
 #[derive(Debug)]
 struct FlightEntry {
     flight: Arc<Flight>,
-    router: String,
-    set: CommSet,
-    mask: Option<FaultMask>,
+    key: RequestKey<String>,
 }
 
 /// The cross-caller single-flight table. Cheap to share (`Arc` the whole
@@ -131,9 +132,7 @@ impl SingleFlight {
                         fp,
                         FlightEntry {
                             flight: Arc::clone(&flight),
-                            router: router.to_owned(),
-                            set: set.clone(),
-                            mask: mask.cloned(),
+                            key: RequestKey::new(router.to_owned(), set, mask),
                         },
                     );
                     return Joined::Lead(FlightLease {
@@ -144,14 +143,7 @@ impl SingleFlight {
                     });
                 }
                 Some(entry) => {
-                    let key_equal = entry.router == router
-                        && entry.set == *set
-                        && match (&entry.mask, mask) {
-                            (None, None) => true,
-                            (Some(a), Some(b)) => a == b,
-                            _ => false,
-                        };
-                    if !key_equal {
+                    if !entry.key.matches(router, set, mask) {
                         return Joined::Mismatch;
                     }
                     Arc::clone(&entry.flight)

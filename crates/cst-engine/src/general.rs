@@ -19,6 +19,7 @@
 //! composite is assembled from pooled round shells, and the accounting
 //! vectors are recycled through [`EngineCtx::recycle_general`].
 
+use crate::cache::batch_representatives;
 use crate::ctx::EngineCtx;
 use crate::outcome::RouteExtra;
 use crate::router::Router;
@@ -110,13 +111,7 @@ impl EngineCtx {
         gsets: &[GeneralCommSet],
     ) -> Result<Vec<GeneralOutcome>, CstError> {
         let fps: Vec<u64> = gsets.iter().map(|g| g.fingerprint()).collect();
-        let representative: Vec<usize> = (0..gsets.len())
-            .map(|i| {
-                (0..i)
-                    .find(|&j| fps[j] == fps[i] && gsets[j] == gsets[i])
-                    .unwrap_or(i)
-            })
-            .collect();
+        let representative = batch_representatives(&fps, |j, i| gsets[j] == gsets[i]);
         let mut outcomes: Vec<GeneralOutcome> = Vec::with_capacity(gsets.len());
         for i in 0..gsets.len() {
             let rep = representative[i];

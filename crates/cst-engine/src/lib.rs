@@ -32,7 +32,7 @@ mod registry;
 mod router;
 mod shard;
 
-pub use cache::{CacheStats, ScheduleCache};
+pub use cache::{batch_representatives, CacheStats, ScheduleCache};
 pub use ctx::{request_fingerprint, EngineCtx, DEFAULT_CACHE_CAPACITY};
 pub use flight::{FlightLease, Joined, SingleFlight};
 pub use shard::ShardedScheduleCache;

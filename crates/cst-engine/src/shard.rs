@@ -1,7 +1,7 @@
 //! Sharded schedule cache: the concurrency layer over [`ScheduleCache`].
 //!
 //! The serve daemon runs one `EngineCtx` per worker thread (routing
-//! scratch is thread-local by construction) but wants routed schedules
+//! scratch is thread-local by construction) but wants routed results
 //! shared across workers. A single mutex around one big cache would
 //! serialize every hit, so the shared cache is split into `2^shard_bits`
 //! independent [`ScheduleCache`] shards, each behind its own lock.
@@ -13,12 +13,14 @@
 //! disjoint bit ranges of one well-avalanched digest — shard choice and
 //! in-shard placement stay independent and uniformly spread.
 //!
-//! The unit cached here is the **fully-encoded response payload**
-//! (`Arc<[u8]>`): a hit is an `Arc` clone plus a socket write, with no
-//! re-serialization and no allocation. Inserts move the routed schedule
-//! in by value and hand the displaced victim back for the worker's
-//! `SchedulePool`, the same churn discipline as the single-caller cache.
-//! Per-shard counters never stop being ordinary `ScheduleCache` stats;
+//! Each shard entry holds the **fully-encoded response payload**
+//! (`Arc<[u8]>`) under its full request key, and nothing else: a payload
+//! is a pure function of its `(router, set, mask)` key, so no schedule,
+//! power or degradation report is kept beside it. A hit is an `Arc`
+//! clone plus a socket write, with no re-serialization and no
+//! allocation; the worker that routed a miss keeps its outcome and
+//! recycles it into its own engine context. Per-shard counters never
+//! stop being ordinary `ScheduleCache` stats;
 //! [`ShardedScheduleCache::stats`] is their sum (asserted equal in the
 //! unit tests, and conserved end-to-end by `tests/serve_stress.rs`:
 //! hits + misses == payload lookups).
@@ -49,10 +51,9 @@
 //!
 //! [`Fp64`]: cst_core::Fp64
 
-use crate::cache::{CacheStats, ScheduleCache};
-use crate::DegradationReport;
-use cst_comm::{CommSet, Schedule};
-use cst_core::{FaultMask, PowerReport};
+use crate::cache::{CacheStats, RequestKey, ScheduleCache};
+use cst_comm::CommSet;
+use cst_core::FaultMask;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -68,9 +69,7 @@ const TIER_PROBE: usize = 4;
 #[derive(Debug)]
 struct TierSlot {
     fp: u64,
-    router: &'static str,
-    set: CommSet,
-    mask: Option<FaultMask>,
+    key: RequestKey,
     payload: Arc<[u8]>,
 }
 
@@ -96,13 +95,22 @@ impl HitTier {
         // window conflicts (which fall back to the locked LRU — correct,
         // just slower) stay rare. Capacity 0 disables the shard and the
         // tier with it.
-        let slots = if shard_capacity == 0 {
+        let wanted = if shard_capacity == 0 {
             0
         } else {
-            (shard_capacity * 2).next_power_of_two().max(8)
+            shard_capacity
+                .checked_mul(2)
+                .and_then(usize::checked_next_power_of_two)
+                .map_or(0, |n| n.max(8))
         };
+        // A slot table whose size overflows, or that the allocator
+        // refuses, leaves the tier out: the locked LRU alone still
+        // answers every lookup, just without the lock-free fast path.
+        let mut table = Vec::new();
+        let slots = if table.try_reserve_exact(wanted).is_ok() { wanted } else { 0 };
+        table.extend((0..slots).map(|_| None));
         HitTier {
-            slots: RwLock::new((0..slots).map(|_| None).collect()),
+            slots: RwLock::new(table),
             index_mask: slots.wrapping_sub(1),
             generation: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -143,15 +151,7 @@ impl HitTier {
             for d in 0..TIER_PROBE {
                 let j = (fp as usize).wrapping_add(d) & self.index_mask;
                 if let Some(e) = &slots[j] {
-                    if e.fp == fp
-                        && e.router == router
-                        && e.set == *set
-                        && match (&e.mask, mask) {
-                            (None, None) => true,
-                            (Some(a), Some(b)) => a == b,
-                            _ => false,
-                        }
-                    {
+                    if e.fp == fp && e.key.matches(router, set, mask) {
                         found = Some(Arc::clone(&e.payload));
                         break;
                     }
@@ -200,13 +200,7 @@ impl HitTier {
         if let Some(j) = free {
             target = j;
         }
-        slots[target] = Some(TierSlot {
-            fp,
-            router,
-            set: set.clone(),
-            mask: mask.cloned(),
-            payload,
-        });
+        slots[target] = Some(TierSlot { fp, key: RequestKey::new(router, set, mask), payload });
         drop(slots);
         self.generation.fetch_add(1, Ordering::Release);
     }
@@ -255,7 +249,7 @@ impl HitTier {
 /// shareable across worker threads via `Arc`.
 #[derive(Debug)]
 pub struct ShardedScheduleCache {
-    shards: Vec<Mutex<ScheduleCache>>,
+    shards: Vec<Mutex<ScheduleCache<Arc<[u8]>>>>,
     /// One read-optimized hit tier per shard, indexed in lockstep with
     /// `shards`. All writes to `tiers[i]` happen while `shards[i]` is
     /// locked.
@@ -327,7 +321,7 @@ impl ShardedScheduleCache {
     /// Lock one shard, recovering from poisoning: the caches' invariants
     /// hold between method calls, so a worker that panicked elsewhere
     /// must not wedge every other worker's cache access.
-    fn shard(&self, idx: usize) -> MutexGuard<'_, ScheduleCache> {
+    fn shard(&self, idx: usize) -> MutexGuard<'_, ScheduleCache<Arc<[u8]>>> {
         match self.shards[idx].lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -355,7 +349,7 @@ impl ShardedScheduleCache {
         if let Some(payload) = self.lookup_payload_tier(fp, router, set, mask) {
             return Some(payload);
         }
-        self.shard(self.shard_of(fp)).lookup_payload(fp, router, set, mask)
+        self.shard(self.shard_of(fp)).lookup(fp, router, set, mask).cloned()
     }
 
     /// Probe only the lock-free hit tier — never the locked shard, and
@@ -379,35 +373,22 @@ impl ShardedScheduleCache {
         Some(payload)
     }
 
-    /// Insert a routed outcome with its encoded payload into the owning
-    /// shard. The schedule moves in by value; the returned schedule (the
-    /// shard's evicted victim, or the rejected input when capacity is 0)
-    /// should be recycled into the calling worker's pool.
-    #[allow(clippy::too_many_arguments)]
+    /// Insert the encoded payload for a request into the owning shard,
+    /// overwriting the least-recently-used entry when the shard is full.
+    /// A no-op when the cache is disabled (capacity 0): nothing is
+    /// resident, so nothing is published to the hit tier either.
     pub fn insert_with_payload(
         &self,
         fp: u64,
         router: &'static str,
         set: &CommSet,
         mask: Option<&FaultMask>,
-        schedule: Schedule,
-        power: &PowerReport,
-        degradation: Option<&DegradationReport>,
         payload: Arc<[u8]>,
-    ) -> Option<Schedule> {
+    ) {
         let idx = self.shard_of(fp);
-        let mfp = fp & self.fp_mask;
         let mut shard = self.shard(idx);
-        let out = shard.insert_with_payload(
-            fp,
-            router,
-            set,
-            mask,
-            schedule,
-            power,
-            degradation,
-            Arc::clone(&payload),
-        );
+        let Some(ins) = shard.insert(fp, router, set, mask) else { return };
+        *ins.value = Arc::clone(&payload);
         // Mirror the LRU mutation into the hit tier *while still holding
         // the shard mutex*, so tier writes are serialized in LRU order
         // (the single-writer discipline the tier documents). Readers only
@@ -416,14 +397,10 @@ impl ShardedScheduleCache {
         // deadlock. Invalidate the eviction victim first so its slot can
         // be reused by the new key.
         let tier = &self.tiers[idx];
-        if let Some(victim_fp) = out.evicted_fp {
+        if let Some(victim_fp) = ins.evicted_fp {
             tier.invalidate(victim_fp);
         }
-        if out.resident {
-            tier.publish(mfp, router, set, mask, payload);
-        }
-        drop(shard);
-        out.displaced
+        tier.publish(fp & self.fp_mask, router, set, mask, payload);
     }
 
     /// Counters of one shard, with that shard's tier hits folded into
@@ -542,7 +519,7 @@ mod tests {
         let total_cap = 8;
         let bits = 2;
         let c = ShardedScheduleCache::new(total_cap, bits);
-        let mut oracles: Vec<ScheduleCache> =
+        let mut oracles: Vec<ScheduleCache<Arc<[u8]>>> =
             (0..c.num_shards()).map(|_| ScheduleCache::new(c.shard_capacity())).collect();
 
         // Seeded mixed workload over a working set larger than capacity,
@@ -555,34 +532,17 @@ mod tests {
             let shard = c.shard_of(fp);
 
             let got = c.lookup_payload(fp, "csa", &set, None);
-            let want = oracles[shard].lookup_payload(fp, "csa", &set, None);
+            let want = oracles[shard].lookup(fp, "csa", &set, None).cloned();
             assert_eq!(
                 got.as_deref(),
                 want.as_deref(),
                 "step {step}: sharded and oracle disagree on key {i}"
             );
             if got.is_none() {
-                let displaced_sharded = c.insert_with_payload(
-                    fp,
-                    "csa",
-                    &set,
-                    None,
-                    Schedule::default(),
-                    &PowerReport::default(),
-                    None,
-                    payload(i),
-                );
-                let displaced_oracle = oracles[shard].insert_with_payload(
-                    fp,
-                    "csa",
-                    &set,
-                    None,
-                    Schedule::default(),
-                    &PowerReport::default(),
-                    None,
-                    payload(i),
-                );
-                assert_eq!(displaced_sharded.is_some(), displaced_oracle.displaced.is_some());
+                c.insert_with_payload(fp, "csa", &set, None, payload(i));
+                if let Some(ins) = oracles[shard].insert(fp, "csa", &set, None) {
+                    *ins.value = payload(i);
+                }
             }
         }
         // The oracle has no hit tier, so its hits all count in `hits`
@@ -612,16 +572,7 @@ mod tests {
             for i in 0..20 {
                 let (fp, set) = key(i);
                 if c.lookup_payload(fp, "csa", &set, None).is_none() {
-                    c.insert_with_payload(
-                        fp,
-                        "csa",
-                        &set,
-                        None,
-                        Schedule::default(),
-                        &PowerReport::default(),
-                        None,
-                        payload(i),
-                    );
+                    c.insert_with_payload(fp, "csa", &set, None, payload(i));
                 }
                 let _ = round;
             }
@@ -652,16 +603,7 @@ mod tests {
                 assert_eq!(&*p, &*payload(i), "collision served another key's payload");
                 served_other_key += 1;
             } else {
-                c.insert_with_payload(
-                    fp,
-                    "csa",
-                    &set,
-                    None,
-                    Schedule::default(),
-                    &PowerReport::default(),
-                    None,
-                    payload(i),
-                );
+                c.insert_with_payload(fp, "csa", &set, None, payload(i));
             }
         }
         let _ = served_other_key;
@@ -678,16 +620,7 @@ mod tests {
         let c = ShardedScheduleCache::new(8, 1);
         for i in 0..8 {
             let (fp, set) = key(i);
-            c.insert_with_payload(
-                fp,
-                "csa",
-                &set,
-                None,
-                Schedule::default(),
-                &PowerReport::default(),
-                None,
-                payload(i),
-            );
+            c.insert_with_payload(fp, "csa", &set, None, payload(i));
         }
         assert!(c.stats().entries > 0);
         // Warm the tier so clear() provably purges it too.
@@ -711,16 +644,7 @@ mod tests {
         let c = ShardedScheduleCache::new(64, 2);
         for i in 0..8 {
             let (fp, set) = key(i);
-            c.insert_with_payload(
-                fp,
-                "csa",
-                &set,
-                None,
-                Schedule::default(),
-                &PowerReport::default(),
-                None,
-                payload(i),
-            );
+            c.insert_with_payload(fp, "csa", &set, None, payload(i));
         }
         for i in 0..8 {
             let (fp, set) = key(i);
@@ -743,27 +667,9 @@ mod tests {
         let c = ShardedScheduleCache::new(1, 0); // one shard, one entry
         let (fp_a, set_a) = key(1);
         let (fp_b, set_b) = key(2);
-        c.insert_with_payload(
-            fp_a,
-            "csa",
-            &set_a,
-            None,
-            Schedule::default(),
-            &PowerReport::default(),
-            None,
-            payload(1),
-        );
+        c.insert_with_payload(fp_a, "csa", &set_a, None, payload(1));
         assert!(c.lookup_payload(fp_a, "csa", &set_a, None).is_some());
-        c.insert_with_payload(
-            fp_b,
-            "csa",
-            &set_b,
-            None,
-            Schedule::default(),
-            &PowerReport::default(),
-            None,
-            payload(2),
-        );
+        c.insert_with_payload(fp_b, "csa", &set_b, None, payload(2));
         assert_eq!(c.stats().evictions, 1);
         assert!(c.lookup_payload(fp_a, "csa", &set_a, None).is_none(), "evicted key must miss");
         assert_eq!(&*c.lookup_payload(fp_b, "csa", &set_b, None).unwrap(), &*payload(2));
@@ -778,31 +684,43 @@ mod tests {
         let c = ShardedScheduleCache::new(2, 0); // one shard, two entries
         let keys: Vec<_> = (1..=3).map(key).collect();
         for (i, (fp, set)) in keys.iter().take(2).enumerate() {
-            c.insert_with_payload(
-                *fp,
-                "csa",
-                set,
-                None,
-                Schedule::default(),
-                &PowerReport::default(),
-                None,
-                payload(i + 1),
-            );
+            c.insert_with_payload(*fp, "csa", set, None, payload(i + 1));
         }
         // Tier-hit key 0 so key 1 becomes the LRU victim.
         assert!(c.lookup_payload(keys[0].0, "csa", &keys[0].1, None).is_some());
         assert_eq!(c.stats().tier_hits, 1);
-        c.insert_with_payload(
-            keys[2].0,
-            "csa",
-            &keys[2].1,
-            None,
-            Schedule::default(),
-            &PowerReport::default(),
-            None,
-            payload(3),
-        );
+        c.insert_with_payload(keys[2].0, "csa", &keys[2].1, None, payload(3));
         assert!(c.lookup_payload(keys[0].0, "csa", &keys[0].1, None).is_some(), "touched key survives");
         assert!(c.lookup_payload(keys[1].0, "csa", &keys[1].1, None).is_none(), "untouched key evicted");
+    }
+
+    /// A disabled cache keeps nothing: the insert is dropped, nothing is
+    /// published to the tier, and every lookup is a counted miss.
+    #[test]
+    fn zero_capacity_keeps_and_publishes_nothing() {
+        let c = ShardedScheduleCache::new(0, 2);
+        let (fp, set) = key(1);
+        for _ in 0..3 {
+            assert!(c.lookup_payload(fp, "csa", &set, None).is_none());
+            c.insert_with_payload(fp, "csa", &set, None, payload(1));
+            assert!(c.lookup_payload_tier(fp, "csa", &set, None).is_none());
+        }
+        let s = c.stats();
+        assert_eq!((s.hits, s.tier_hits, s.misses, s.entries, s.capacity), (0, 0, 3, 0, 0));
+    }
+
+    /// A capacity whose tier cannot be sized still builds a working
+    /// cache: the tier is left out and the locked LRU answers.
+    #[test]
+    fn unallocatable_tier_falls_back_to_the_locked_lru() {
+        for bits in [0, 2] {
+            let c = ShardedScheduleCache::new(usize::MAX, bits);
+            let (fp, set) = key(3);
+            c.insert_with_payload(fp, "csa", &set, None, payload(3));
+            assert!(c.lookup_payload_tier(fp, "csa", &set, None).is_none());
+            assert_eq!(&*c.lookup_payload(fp, "csa", &set, None).unwrap(), &*payload(3));
+            let s = c.shard_stats(c.shard_of(fp));
+            assert_eq!((s.hits, s.tier_hits), (1, 0));
+        }
     }
 }

@@ -27,6 +27,6 @@ pub mod stats;
 pub mod wire;
 
 pub use client::{ClientError, ServeClient};
-pub use server::{ServeAddr, ServeConfig, ServeShared, Server, WorkerCore};
+pub use server::{ServeAddr, ServeConfig, ServeShared, Server, WorkerCore, MAX_CACHE_CAPACITY};
 pub use stats::{ServeCounters, ServeStats};
 pub use wire::{ErrorCode, ErrorFrame, Request, Response, RouteReply, RouteSummary};

@@ -9,9 +9,12 @@
 //! Cross-worker state lives in [`ServeShared`]: the sharded payload
 //! cache ([`ShardedScheduleCache`], whose lock-free hit tier answers
 //! warm repeats without any exclusive lock), the cross-connection
-//! [`SingleFlight`] table, and the atomic [`ServeCounters`]. Workers
-//! never share routing scratch, so the engine's single-caller
-//! invariants hold per-thread by construction; the stress suite
+//! [`SingleFlight`] table, and the atomic [`ServeCounters`]. A shard
+//! entry holds the encoded response payload under its full request key
+//! and nothing else; the worker that routed a miss recycles its whole
+//! outcome into its own `EngineCtx`. Workers never share routing
+//! scratch, so the engine's single-caller invariants hold per-thread by
+//! construction; the stress suite
 //! (`tests/serve_stress.rs`) then pins the *combined* behavior:
 //! every concurrent response byte-identical to a fresh single-caller
 //! `EngineCtx` on the same request.
@@ -51,7 +54,10 @@ use crate::wire::{
 use cst_comm::CommSet;
 use cst_core::wire::{WireCursor, WireError};
 use cst_core::{CstTopology, FaultMask};
-use cst_engine::{request_fingerprint, EngineCtx, Joined, ShardedScheduleCache, SingleFlight};
+use cst_engine::{
+    batch_representatives, request_fingerprint, EngineCtx, Joined, ShardedScheduleCache,
+    SingleFlight,
+};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -93,6 +99,15 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// The largest `cache_capacity` [`Server::bind_tcp`] and
+/// [`Server::bind_unix`] accept. The shared cache allocates its hit tier
+/// up front: about two 224-byte slots per entry, rounded up to a power
+/// of two per shard. This ceiling bounds that table near 120 MB. A
+/// larger capacity is refused with [`io::ErrorKind::InvalidInput`]
+/// before any socket is bound, instead of aborting the process when the
+/// allocation fails.
+pub const MAX_CACHE_CAPACITY: usize = 1 << 18;
 
 /// How long a coalesced waiter parks on a leader's flight before giving
 /// up and routing solo. Routes complete in milliseconds; this bounds the
@@ -297,14 +312,15 @@ impl WorkerCore {
         }
         cur.expect_end().map_err(bad_frame)?;
 
-        let mut fps: Vec<u64> = Vec::with_capacity(sets.len());
+        let fps: Vec<u64> = sets
+            .iter()
+            .zip(&masks)
+            .map(|(s, m)| request_fingerprint(router, s, m.as_ref()))
+            .collect();
+        let reps = batch_representatives(&fps, |j, i| sets[j] == sets[i] && masks[j] == masks[i]);
         let mut items: Vec<ServedItem> = Vec::with_capacity(sets.len());
-        for i in 0..sets.len() {
-            let fp = request_fingerprint(router, &sets[i], masks[i].as_ref());
-            fps.push(fp);
-            if let Some(j) =
-                (0..i).find(|&j| fps[j] == fp && sets[j] == sets[i] && masks[j] == masks[i])
-            {
+        for (i, &j) in reps.iter().enumerate() {
+            if j != i {
                 ServeCounters::bump(&self.shared.counters.requests);
                 ServeCounters::bump(&self.shared.counters.coalesced);
                 let item = match &items[j] {
@@ -397,8 +413,8 @@ impl WorkerCore {
     }
 
     /// The miss path: route fresh, encode the payload once, publish it
-    /// to the shared cache (schedule moved in by value, evicted victim
-    /// recycled into this worker's pool). `lead` marks a single-flight
+    /// to the shared cache, and recycle the whole outcome into this
+    /// worker's engine context. `lead` marks a single-flight
     /// leader; both it and `computations` are counted just before the
     /// engine route call, so requests rejected earlier (unknown router,
     /// bad topology) count as neither.
@@ -423,7 +439,7 @@ impl WorkerCore {
         if lead {
             ServeCounters::bump(&shared.counters.singleflight_leaders);
         }
-        let mut outcome = match mask {
+        let outcome = match mask {
             Some(m) => ctx.route_masked(router.as_ref(), topo, set, m),
             None => ctx.route(router.as_ref(), topo, set),
         }
@@ -450,21 +466,7 @@ impl WorkerCore {
             schedule_json.as_bytes(),
         );
         let payload: Arc<[u8]> = Arc::from(payload_buf.as_slice());
-
-        let schedule = std::mem::take(&mut outcome.schedule);
-        let victim = shared.cache.insert_with_payload(
-            fp,
-            outcome.router,
-            set,
-            mask,
-            schedule,
-            &outcome.power,
-            outcome.degradation.as_ref(),
-            Arc::clone(&payload),
-        );
-        // Recycle the displaced schedule (eviction victim, or the input
-        // itself when the cache is disabled) and the outcome's meter.
-        outcome.schedule = victim.unwrap_or_default();
+        shared.cache.insert_with_payload(fp, outcome.router, set, mask, Arc::clone(&payload));
         ctx.recycle(outcome);
         Ok(payload)
     }
@@ -594,16 +596,20 @@ pub struct Server {
 
 impl Server {
     /// Bind a TCP listener (e.g. `"127.0.0.1:0"` for an ephemeral port)
-    /// and start the worker pool.
+    /// and start the worker pool. A `cache_capacity` above
+    /// [`MAX_CACHE_CAPACITY`] is an [`io::ErrorKind::InvalidInput`] error.
     pub fn bind_tcp(addr: &str, config: ServeConfig) -> io::Result<Server> {
+        check_capacity(&config)?;
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         Server::spawn(ListenerKind::Tcp(listener), ServeAddr::Tcp(local), config)
     }
 
     /// Bind a Unix socket (removing a stale socket file first) and start
-    /// the worker pool.
+    /// the worker pool. A `cache_capacity` above [`MAX_CACHE_CAPACITY`]
+    /// is an [`io::ErrorKind::InvalidInput`] error.
     pub fn bind_unix(path: impl AsRef<Path>, config: ServeConfig) -> io::Result<Server> {
+        check_capacity(&config)?;
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
@@ -676,6 +682,20 @@ impl Server {
             let _ = std::fs::remove_file(p);
         }
     }
+}
+
+/// Refuse a cache capacity above [`MAX_CACHE_CAPACITY`].
+fn check_capacity(config: &ServeConfig) -> io::Result<()> {
+    if config.cache_capacity > MAX_CACHE_CAPACITY {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "cache capacity {} exceeds the maximum of {MAX_CACHE_CAPACITY} entries",
+                config.cache_capacity
+            ),
+        ));
+    }
+    Ok(())
 }
 
 impl Drop for Server {

@@ -909,6 +909,11 @@ fn run_stream(args: &[String]) {
         std::process::exit(2);
     }
 
+    let Some(router_box) = cst_engine::find(&router) else {
+        eprintln!("unknown router {router} (see cst-tools list-routers)");
+        std::process::exit(2);
+    };
+
     let topo = cst_core::CstTopology::with_leaves(pes);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut sets: Vec<cst_comm::CommSet> = (0..working)
@@ -932,7 +937,7 @@ fn run_stream(args: &[String]) {
                 std::process::exit(1);
             }
         }
-        match ctx.route_named_cached(&router, &topo, &sets[idx]) {
+        match ctx.route_cached(router_box.as_ref(), &topo, &sets[idx]) {
             Ok(out) => {
                 total_rounds += out.rounds;
                 total_power_units += out.power.total_units;

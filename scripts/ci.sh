@@ -173,6 +173,12 @@ wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 echo "serve daemon: deterministic over the wire, matches golden"
 
+echo "== ci: serve benchmark (build + own tests) =="
+# servebench/ is its own Cargo package with path dependencies on
+# crates/*; building it and running its tests here makes an API change
+# in cst-engine or cst-serve that breaks the benchmark fail CI.
+cargo test --release --offline --manifest-path servebench/Cargo.toml
+
 echo "== ci: lint =="
 scripts/lint.sh
 

@@ -550,3 +550,66 @@ fn unix_socket_serves_and_resets() {
     server.shutdown();
     assert!(!std::path::Path::new(path).exists(), "shutdown removes the socket file");
 }
+
+/// `--cache-cap 0`: the shared cache keeps nothing, so every request is
+/// routed afresh, nothing is published to the hit tier, and every
+/// response is still byte-identical to a fresh single-caller engine.
+#[test]
+fn disabled_shared_cache_routes_every_request() {
+    let topo = CstTopology::with_leaves(PES);
+    let mask = stress_mask(&topo);
+    let sets = working_sets();
+    let server = Server::bind_tcp(
+        "127.0.0.1:0",
+        ServeConfig { workers: 2, cache_capacity: 0, ..Default::default() },
+    )
+    .expect("bind");
+    let mut client = ServeClient::connect_tcp(server.tcp_addr().expect("tcp addr")).expect("connect");
+
+    let mut requests = 0u64;
+    for _pass in 0..2 {
+        for (i, router) in ROUTERS.iter().enumerate() {
+            for (j, set) in sets.iter().enumerate().take(4) {
+                let m = ((i + j) % 3 == 0).then_some(&mask);
+                let reply = client.route(router, set, m).expect("route");
+                requests += 1;
+                assert!(!reply.cached, "a disabled cache never serves a cached reply");
+                verify_payload(&topo, router, set, m, &reply.payload);
+            }
+        }
+    }
+
+    let s = server.stats();
+    assert_eq!(s.requests, requests);
+    assert_eq!(s.responses, requests);
+    assert_eq!(s.errors, 0);
+    assert_eq!(s.computations, requests, "every request routes");
+    assert_eq!(s.cache.tier_hits, 0, "nothing is published to the hit tier");
+    assert_eq!((s.cache.hits, s.cache.misses), (0, requests));
+    assert_eq!((s.cache.entries, s.cache.capacity, s.cache.evictions), (0, 0, 0));
+    server.shutdown();
+}
+
+/// A cache capacity above the ceiling is refused with a typed error at
+/// bind time, over both transports, instead of aborting the process on
+/// the hit tier's allocation; a normal capacity still serves.
+#[test]
+fn oversize_cache_capacity_is_refused_at_bind() {
+    use cst::serve::MAX_CACHE_CAPACITY;
+    let path = "target/serve_stress_oversize.sock";
+    for cache_capacity in [MAX_CACHE_CAPACITY + 1, 100_000_000, usize::MAX] {
+        let config = ServeConfig { cache_capacity, ..Default::default() };
+        let tcp = Server::bind_tcp("127.0.0.1:0", config.clone()).map(|_| ());
+        assert_eq!(tcp.map_err(|e| e.kind()), Err(std::io::ErrorKind::InvalidInput));
+        let unix = Server::bind_unix(path, config).map(|_| ());
+        assert_eq!(unix.map_err(|e| e.kind()), Err(std::io::ErrorKind::InvalidInput));
+        assert!(!std::path::Path::new(path).exists(), "a refused bind creates no socket");
+    }
+
+    let sets = working_sets();
+    let server = Server::bind_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut client = ServeClient::connect_tcp(server.tcp_addr().expect("tcp addr")).expect("connect");
+    let reply = client.route("csa", &sets[0], None).expect("route");
+    verify_payload(&CstTopology::with_leaves(PES), "csa", &sets[0], None, &reply.payload);
+    server.shutdown();
+}
