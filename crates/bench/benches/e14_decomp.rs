@@ -10,7 +10,8 @@
 //! * `route-layers/<n>` — full `route_general` on a warm context with
 //!   the decomposition memoized but every layer routed fresh: the
 //!   per-layer scheduling cost the front-end fans out to;
-//! * `warm-cached/<n>`  — `route_general_cached` steady state: memo hit
+//! * `warm-cached/<n>`  — `route_general` steady state on a context with
+//!   a schedule cache: memo hit
 //!   plus per-layer schedule-cache hits plus pooled assembly (the
 //!   streaming figure; tests/alloc_gate.rs pins it allocation-free).
 //!
@@ -37,7 +38,7 @@ fn bench_e14(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(decompose(&gset).num_layers()))
         });
 
-        let mut ctx = EngineCtx::new();
+        let mut ctx = EngineCtx::new(); // no cache: every layer routes fresh
         let out = ctx.route_general(&Csa, &topo, &gset).unwrap();
         eprintln!(
             "e14 n={n}: {} pairs -> {} layers (bound {}{}), {} rounds, {} power units",
@@ -62,12 +63,12 @@ fn bench_e14(c: &mut Criterion) {
         cached_ctx.enable_cache(cst_engine::DEFAULT_CACHE_CAPACITY);
         // Warm: first call misses and inserts, second settles the pools.
         for _ in 0..2 {
-            let out = cached_ctx.route_general_cached(&Csa, &topo, &gset).unwrap();
+            let out = cached_ctx.route_general(&Csa, &topo, &gset).unwrap();
             cached_ctx.recycle_general(out);
         }
         group.bench_with_input(BenchmarkId::new("warm-cached", n), &n, |b, _| {
             b.iter(|| {
-                let out = cached_ctx.route_general_cached(&Csa, &topo, &gset).unwrap();
+                let out = cached_ctx.route_general(&Csa, &topo, &gset).unwrap();
                 let rounds = out.rounds;
                 cached_ctx.recycle_general(out);
                 std::hint::black_box(rounds)

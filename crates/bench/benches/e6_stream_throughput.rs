@@ -3,17 +3,19 @@
 //!
 //! Five ids, all n = 1024, density 0.5:
 //!
-//! * `cached`        — warm cache hit (`route_cached`, resident entry):
-//!   the locality-heavy steady state of a request stream;
-//! * `uncached`      — the same request through plain `route` every time
-//!   (the pre-cache baseline; this is `BENCH_e5.json`'s `csa/1024`
-//!   workload shape, which the smoke script sanity-checks against);
-//! * `cold`          — `route_cached` forced to miss every iteration
+//! * `cached`        — warm cache hit (`route` on a context with a
+//!   cache, resident entry): the locality-heavy steady state of a
+//!   request stream;
+//! * `uncached`      — the same request through `route` on a cache-less
+//!   context every time (the pre-cache baseline; this is
+//!   `BENCH_e5.json`'s `csa/1024` workload shape, which the smoke script
+//!   sanity-checks against);
+//! * `cold`          — the cached `route` forced to miss every iteration
 //!   (capacity-1 cache, two alternating requests): fingerprint + probe +
 //!   schedule + insert + copy-out — the full cold-path cost;
-//! * `cold-baseline` — the **same alternating stream** through plain
-//!   `route`: the apples-to-apples no-regression baseline for `cold`
-//!   (alternation alone perturbs the CPU caches, so comparing `cold`
+//! * `cold-baseline` — the **same alternating stream** through a
+//!   cache-less `route`: the apples-to-apples no-regression baseline for
+//!   `cold` (alternation alone perturbs the CPU caches, so comparing `cold`
 //!   against the fixed-request `uncached` overstates the overhead);
 //! * `incremental-delta` — an [`IncrementalCsa`] session absorbing a
 //!   two-change delta (detach + re-attach) and re-routing from patched
@@ -38,13 +40,14 @@ fn bench_e6_stream(c: &mut Criterion) {
     // measured steady state never touches the scheduler (or the heap —
     // tests/alloc_gate.rs pins that).
     let mut ctx = EngineCtx::new();
-    let out = ctx.route_cached(&Csa, &topo, &set).unwrap();
-    ctx.recycle(out);
-    let out = ctx.route_cached(&Csa, &topo, &set).unwrap();
-    ctx.recycle(out);
+    ctx.enable_cache(cst_engine::DEFAULT_CACHE_CAPACITY);
+    for _ in 0..2 {
+        let out = ctx.route(&Csa, &topo, &set).unwrap();
+        ctx.recycle(out);
+    }
     group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
         b.iter(|| {
-            let out = ctx.route_cached(&Csa, &topo, &set).unwrap();
+            let out = ctx.route(&Csa, &topo, &set).unwrap();
             let rounds = out.rounds;
             ctx.recycle(out);
             std::hint::black_box(rounds)
@@ -73,7 +76,7 @@ fn bench_e6_stream(c: &mut Criterion) {
         b.iter(|| {
             flip = !flip;
             let req = if flip { &set } else { &other };
-            let out = ctx.route_cached(&Csa, &topo, req).unwrap();
+            let out = ctx.route(&Csa, &topo, req).unwrap();
             let rounds = out.rounds;
             ctx.recycle(out);
             std::hint::black_box(rounds)

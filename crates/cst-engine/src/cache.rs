@@ -171,7 +171,7 @@ pub(crate) struct Inserted<'a, V> {
 
 /// Fixed-capacity LRU keyed by request fingerprint with full-key
 /// equality. See the module docs for the representation; see
-/// `EngineCtx::route_cached` for the keying rules (router name + set
+/// the `EngineCtx` cache section (`ctx.rs`) for the keying rules (router name + set
 /// fingerprint + fault-mask fingerprint).
 #[derive(Debug)]
 pub struct ScheduleCache<V> {

@@ -3,8 +3,7 @@
 //! [`EngineCtx`] reaches a zero-allocation steady state (asserted by the
 //! workspace's allocation-gate test for the serial CSA).
 
-use crate::cache::{batch_representatives, CacheStats, OutcomeCache};
-use crate::degrade::DegradationReport;
+use crate::cache::{CacheStats, OutcomeCache};
 use crate::outcome::{PhaseTimings, RouteExtra, RouteOutcome};
 use crate::registry;
 use crate::router::Router;
@@ -13,8 +12,9 @@ use cst_core::{CstError, CstTopology, FaultMask, Fp64, MergedRound, PowerReport}
 use cst_padr::{CsaScratch, ParallelScratch};
 use std::time::Instant;
 
-/// Capacity [`EngineCtx::route_cached`] uses when the caller has not
-/// sized the cache explicitly with [`EngineCtx::enable_cache`].
+/// A reasonable [`EngineCtx::enable_cache`] capacity for callers with no
+/// sizing of their own (the `cst-tools` `stream` and `decomp` defaults).
+/// A context never creates a cache by itself.
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
 /// Reusable scratch for repeated routing requests.
@@ -47,18 +47,18 @@ pub struct EngineCtx {
     pub(crate) parallel: ParallelScratch,
     pub(crate) merged: MergedRound,
     pub(crate) pool: SchedulePool,
-    /// Schedule cache; `None` until the first `route_cached`-family call
-    /// (or an explicit [`EngineCtx::enable_cache`]). Plain `route` never
-    /// consults it.
+    /// Schedule cache; `None` (route fresh) until
+    /// [`EngineCtx::enable_cache`] sets one up, after which every routing
+    /// call consults it.
     pub(crate) cache: Option<OutcomeCache>,
     /// Replay buffers for the compiled-replay path; outcomes come back
     /// through [`EngineCtx::recycle_sim`].
     pub(crate) replay: cst_sim::ReplayScratch,
     /// Pooled compiled program for compiled requests the cache cannot hold
-    /// (disabled cache, collision-displaced entry).
+    /// (no cache, a capacity-0 cache, a collision-displaced entry).
     pub(crate) local_program: Option<cst_sim::CompiledProgram>,
     /// Last general request's decomposition, memoized so a repeated
-    /// [`EngineCtx::route_general_cached`] request skips the layering pass
+    /// [`EngineCtx::route_general`] request skips the layering pass
     /// entirely (fingerprint prefilter + set equality, like the cache).
     pub(crate) general_memo: Option<crate::general::GeneralMemo>,
     /// Recycled per-layer accounting buffers for general outcomes
@@ -73,14 +73,17 @@ impl EngineCtx {
         EngineCtx::default()
     }
 
-    /// Route `set` on `topo` with an explicit router.
+    /// Route `set` on `topo` with an explicit router — through the
+    /// schedule cache when the context has one (a hit returns the cached
+    /// outcome without touching the scheduler, zero allocations when
+    /// warm), fresh otherwise.
     pub fn route(
         &mut self,
         router: &dyn Router,
         topo: &CstTopology,
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
-        router.route(self, topo, set)
+        self.route_request(router, topo, set, None)
     }
 
     /// Route through the registry by stable name (see
@@ -93,7 +96,7 @@ impl EngineCtx {
     ) -> Result<RouteOutcome, CstError> {
         let router = registry::find(name)
             .ok_or_else(|| CstError::UnknownRouter { name: name.to_string() })?;
-        router.route(self, topo, set)
+        self.route(router.as_ref(), topo, set)
     }
 
     /// Return an outcome's recyclable parts (schedule, meter) to the pool
@@ -126,12 +129,18 @@ impl EngineCtx {
     }
 }
 
-/// The streaming front-end: fingerprint-keyed caching and batch routing.
+/// The schedule cache: context state, not a per-call choice.
+///
+/// A context routes through its cache once [`EngineCtx::enable_cache`]
+/// has given it one; every routing call ([`EngineCtx::route`],
+/// [`EngineCtx::route_named`], [`EngineCtx::route_masked`],
+/// [`EngineCtx::route_general`]'s layers, [`EngineCtx::route_compiled`])
+/// then consults it, and without one they all route fresh.
 ///
 /// Keying rules (see `docs/ENGINE.md` §"Caching & streaming"):
 /// * the key fingerprints the **router name**, the **set**, and — for
 ///   masked requests — the **fault mask**, so no router ever serves
-///   another router's schedule and `route_masked_cached` never serves a
+///   another router's schedule and a masked request never gets a
 ///   fault-free schedule under a live mask;
 /// * an **empty** mask keys identically to a plain request (masked
 ///   routing with no faults is defined as byte-identical to plain
@@ -140,14 +149,16 @@ impl EngineCtx {
 ///   and may collide; a collision is a counted miss, never a wrong
 ///   schedule.
 impl EngineCtx {
-    /// Size (or resize) the schedule cache. Resizing discards resident
-    /// entries but keeps nothing else; pass 0 to disable caching while
-    /// keeping the `route_cached` call sites intact.
+    /// Give the context a schedule cache of `capacity` entries, replacing
+    /// any existing one (resident entries are discarded). From here on
+    /// every routing call goes through it. Capacity 0 keeps a cache that
+    /// holds nothing: every request misses and routes fresh.
     pub fn enable_cache(&mut self, capacity: usize) {
         self.cache = Some(OutcomeCache::new(capacity));
     }
 
-    /// Counters of the schedule cache, if one has been created.
+    /// Counters of the schedule cache, or `None` when the context has
+    /// none.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.lru.stats())
     }
@@ -160,99 +171,29 @@ impl EngineCtx {
     }
 
     /// Test knob: truncate cache fingerprints to `bits` low bits to make
-    /// collisions likely (exercises the equality fallback). Creates the
-    /// cache at the default capacity if absent.
+    /// collisions likely (exercises the equality fallback). Acts on the
+    /// existing cache only: without [`EngineCtx::enable_cache`] first it
+    /// does nothing, so it can never switch caching on.
     #[doc(hidden)]
     pub fn set_cache_fp_bits(&mut self, bits: u32) {
-        self.cache
-            .get_or_insert_with(|| OutcomeCache::new(DEFAULT_CACHE_CAPACITY))
-            .lru
-            .set_fp_bits(bits);
-    }
-
-    /// [`EngineCtx::route`] through the schedule cache: a hit returns the
-    /// cached outcome (schedule copied out of pooled shells, zero
-    /// allocations when warm) without touching the scheduler; a miss
-    /// routes normally and inserts. Creates the cache at
-    /// [`DEFAULT_CACHE_CAPACITY`] on first use.
-    pub fn route_cached(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        set: &CommSet,
-    ) -> Result<RouteOutcome, CstError> {
-        self.route_cached_inner(router, topo, set, None)
-    }
-
-    /// [`EngineCtx::route_masked`] through the schedule cache. The mask
-    /// participates in the cache key, so identical sets under different
-    /// masks are distinct entries; an empty mask shares the plain
-    /// request's entry (and re-attaches the clean report on a hit).
-    pub fn route_masked_cached(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        set: &CommSet,
-        mask: &FaultMask,
-    ) -> Result<RouteOutcome, CstError> {
-        if mask.is_empty() {
-            let mut out = self.route_cached_inner(router, topo, set, None)?;
-            out.degradation = Some(DegradationReport::fault_free(set.len()));
-            return Ok(out);
+        if let Some(cache) = self.cache.as_mut() {
+            cache.lru.set_fp_bits(bits);
         }
-        self.route_cached_inner(router, topo, set, Some(mask))
     }
 
-    /// Route a request slice, deduplicating by fingerprint: each unique
-    /// set is routed (through the cache) exactly once, duplicates are
-    /// fanned back out as copies, and the outcomes come back in input
-    /// order.
-    pub fn route_batch(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        sets: &[CommSet],
-    ) -> Result<Vec<RouteOutcome>, CstError> {
-        // representative[i] = first index whose set equals sets[i].
-        let fps: Vec<u64> = sets.iter().map(|s| s.fingerprint()).collect();
-        let representative = batch_representatives(&fps, |j, i| sets[j] == sets[i]);
-
-        // One pass in input order: a representative routes through the
-        // cache; a duplicate copies from its representative's outcome,
-        // which is already in `outcomes` because rep < i.
-        let mut outcomes: Vec<RouteOutcome> = Vec::with_capacity(sets.len());
-        for i in 0..sets.len() {
-            let rep = representative[i];
-            if rep == i {
-                outcomes.push(self.route_cached(router, topo, &sets[i])?);
-            } else {
-                let t0 = Instant::now();
-                let stats = self.cache_stats().unwrap_or_default();
-                let src = &outcomes[rep];
-                let schedule = self.pool.copy_schedule(&src.schedule);
-                outcomes.push(RouteOutcome {
-                    router: src.router,
-                    rounds: src.rounds,
-                    power: src.power.clone(),
-                    degradation: src.degradation.clone(),
-                    schedule,
-                    timings: PhaseTimings::total_only(t0.elapsed().as_nanos() as u64),
-                    extra: RouteExtra::Cached { stats },
-                });
-            }
-        }
-        Ok(outcomes)
-    }
-
-    /// Route through the schedule cache **and** execute the schedule on
-    /// the compiled-replay simulator in one call.
+    /// Route and execute the schedule on the compiled-replay simulator in
+    /// one call, under an optional fault mask (routed as by
+    /// [`EngineCtx::route_masked`]; half-duplex split rounds lower like
+    /// any others — just more instructions).
     ///
-    /// The request routes via [`EngineCtx::route_cached`]; its cache entry
-    /// then carries a lazily-attached [`cst_sim::CompiledProgram`], so the
-    /// first compiled request per entry pays one lowering pass and every
-    /// later hit replays the cached program with **zero recompilation**
-    /// (program buffers are pooled and reused like `SchedulePool`
-    /// schedules — eviction salvages them, first-compiles reuse them).
+    /// With a cache, the request's entry carries a lazily-attached
+    /// [`cst_sim::CompiledProgram`], so the first compiled request per
+    /// entry pays one lowering pass and every later hit replays the
+    /// cached program with **zero recompilation** (program buffers are
+    /// pooled and reused like `SchedulePool` schedules — eviction
+    /// salvages them, first-compiles reuse them). An empty mask shares
+    /// the plain request's entry and program.
+    ///
     /// The returned [`cst_sim::SimOutcome`] is byte-for-byte identical to
     /// `cst_sim::simulate_schedule` on the routed schedule with default
     /// payloads; recycle it with [`EngineCtx::recycle_sim`].
@@ -261,43 +202,13 @@ impl EngineCtx {
         router: &dyn Router,
         topo: &CstTopology,
         set: &CommSet,
-    ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
-        self.route_compiled_inner(router, topo, set, None)
-    }
-
-    /// [`EngineCtx::route_masked`] plus compiled replay of the degraded
-    /// schedule. Half-duplex split rounds lower like any others — just
-    /// more instructions — and an empty mask shares the plain request's
-    /// entry and program, exactly like [`EngineCtx::route_masked_cached`].
-    pub fn route_masked_compiled(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        set: &CommSet,
-        mask: &FaultMask,
-    ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
-        if mask.is_empty() {
-            let (mut out, sim) = self.route_compiled_inner(router, topo, set, None)?;
-            out.degradation = Some(DegradationReport::fault_free(set.len()));
-            return Ok((out, sim));
-        }
-        self.route_compiled_inner(router, topo, set, Some(mask))
-    }
-
-    /// Return a replayed outcome's buffers to the replay scratch so the
-    /// next compiled request reuses them (the `recycle` of this path).
-    pub fn recycle_sim(&mut self, sim: cst_sim::SimOutcome) {
-        self.replay.recycle(sim);
-    }
-
-    fn route_compiled_inner(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        set: &CommSet,
         mask: Option<&FaultMask>,
     ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
-        let out = self.route_cached_inner(router, topo, set, mask)?;
+        let out = match mask {
+            Some(m) => self.route_masked(router, topo, set, m)?,
+            None => self.route(router, topo, set)?,
+        };
+        let mask = mask.filter(|m| !m.is_empty());
         let fp = request_fingerprint(router.name(), set, mask);
         let payloads = cst_sim::default_payloads(set);
         // Warm path: the entry this request just hit (or inserted) holds
@@ -308,7 +219,7 @@ impl EngineCtx {
                 return Ok((out, sim));
             }
         }
-        // No resident entry (cache disabled or displaced): lower into the
+        // No resident entry (no cache, or displaced): lower into the
         // context's own pooled program.
         let prog = match self.local_program.as_mut() {
             Some(p) => {
@@ -323,19 +234,30 @@ impl EngineCtx {
         Ok((out, sim))
     }
 
-    fn route_cached_inner(
+    /// Return a replayed outcome's buffers to the replay scratch so the
+    /// next compiled request reuses them (the `recycle` of this path).
+    pub fn recycle_sim(&mut self, sim: cst_sim::SimOutcome) {
+        self.replay.recycle(sim);
+    }
+
+    /// One request through the cache when the context has one, fresh
+    /// otherwise. `mask` is `None` or a live mask
+    /// ([`EngineCtx::route_masked`] maps an empty mask to `None`).
+    pub(crate) fn route_request(
         &mut self,
         router: &dyn Router,
         topo: &CstTopology,
         set: &CommSet,
         mask: Option<&FaultMask>,
     ) -> Result<RouteOutcome, CstError> {
+        let Some(cache) = self.cache.as_mut() else {
+            return self.route_fresh(router, topo, set, mask);
+        };
         let t0 = Instant::now();
         let fp = request_fingerprint(router.name(), set, mask);
         // Hit path: cache and pool are disjoint fields, so the cached
         // schedule can be copied out through pooled round shells while
         // the entry is still borrowed.
-        let cache = self.cache.get_or_insert_with(|| OutcomeCache::new(DEFAULT_CACHE_CAPACITY));
         if let Some(entry) = cache.lru.lookup(fp, router.name(), set, mask) {
             let schedule = self.pool.copy_schedule(&entry.schedule);
             let rounds = entry.schedule.num_rounds();
@@ -353,24 +275,22 @@ impl EngineCtx {
             });
         }
 
-        let mut out = match mask {
-            Some(m) => self.route_masked(router, topo, set, m)?,
-            None => self.route(router, topo, set)?,
-        };
+        let mut out = self.route_fresh(router, topo, set, mask)?;
         // The fresh schedule moves into the entry (no clone); the caller
         // gets a copy through pooled shells — the same cheap path a hit
         // takes — and the displaced victim schedule recirculates into the
-        // pool. With the cache disabled the schedule comes straight back.
-        let fresh = std::mem::take(&mut out.schedule);
-        let cache = self.cache.get_or_insert_with(|| OutcomeCache::new(DEFAULT_CACHE_CAPACITY));
-        out.schedule = match cache.store(fp, set, mask, &out, fresh) {
-            Ok((resident, displaced)) => {
-                let copy = self.pool.copy_schedule(resident);
-                self.pool.put_schedule(displaced);
-                copy
-            }
-            Err(fresh) => fresh,
-        };
+        // pool. A capacity-0 cache gives the schedule straight back.
+        if let Some(cache) = self.cache.as_mut() {
+            let fresh = std::mem::take(&mut out.schedule);
+            out.schedule = match cache.store(fp, set, mask, &out, fresh) {
+                Ok((resident, displaced)) => {
+                    let copy = self.pool.copy_schedule(resident);
+                    self.pool.put_schedule(displaced);
+                    copy
+                }
+                Err(fresh) => fresh,
+            };
+        }
         Ok(out)
     }
 }

@@ -14,11 +14,11 @@
 //! An empty mask short-circuits to the plain route call, so the fault-free
 //! warm path stays allocation-free (the workspace allocation gate pins it
 //! at 0 allocs / 0 bytes) and the schedule is byte-identical to unmasked
-//! routing for every router.
+//! routing for every router. With a schedule cache on the context, a
+//! masked request is cached under its mask like any other request.
 
 use crate::ctx::EngineCtx;
 use crate::outcome::{PhaseTimings, RouteExtra, RouteOutcome};
-use crate::registry;
 use crate::router::Router;
 use cst_comm::CommSet;
 use cst_core::{CstError, CstTopology, FaultCause, FaultMask};
@@ -154,8 +154,8 @@ impl EngineCtx {
     /// [`DegradationReport`] with `routed + dropped == set.len()`.
     ///
     /// With an empty mask this is exactly [`EngineCtx::route`] plus a
-    /// clean report: same schedule bytes, no extra allocation on the warm
-    /// serial-CSA path.
+    /// clean report: same schedule bytes (and the same cache entry), no
+    /// extra allocation on the warm serial-CSA path.
     pub fn route_masked(
         &mut self,
         router: &dyn Router,
@@ -168,7 +168,20 @@ impl EngineCtx {
             out.degradation = Some(DegradationReport::fault_free(set.len()));
             return Ok(out);
         }
+        self.route_request(router, topo, set, Some(mask))
+    }
 
+    /// The one uncached route: the router alone without a mask, or under
+    /// a live mask the partition → route survivors → half-duplex split
+    /// flow of this module.
+    pub(crate) fn route_fresh(
+        &mut self,
+        router: &dyn Router,
+        topo: &CstTopology,
+        set: &CommSet,
+        mask: Option<&FaultMask>,
+    ) -> Result<RouteOutcome, CstError> {
+        let Some(mask) = mask else { return router.route(self, topo, set) };
         let start = Instant::now();
         let part = degrade::partition_by_mask(topo, set, mask);
         let mut report = DegradationReport {
@@ -237,32 +250,8 @@ impl EngineCtx {
         out.degradation = Some(report);
         Ok(out)
     }
-
-    /// [`EngineCtx::route_masked`] through the registry by stable name.
-    pub fn route_named_masked(
-        &mut self,
-        name: &str,
-        topo: &CstTopology,
-        set: &CommSet,
-        mask: &FaultMask,
-    ) -> Result<RouteOutcome, CstError> {
-        let router = registry::find(name)
-            .ok_or_else(|| CstError::UnknownRouter { name: name.to_string() })?;
-        self.route_masked(router.as_ref(), topo, set, mask)
-    }
 }
 
 fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos() as u64
-}
-
-/// Convenience one-shot masked route (fresh context each call). Prefer a
-/// long-lived [`EngineCtx`] with [`EngineCtx::route_masked`] in loops.
-pub fn route_once_masked(
-    name: &str,
-    topo: &CstTopology,
-    set: &CommSet,
-    mask: &FaultMask,
-) -> Result<RouteOutcome, CstError> {
-    EngineCtx::new().route_named_masked(name, topo, set, mask)
 }

@@ -21,6 +21,30 @@
 //!     ctx.recycle(out); // schedule + meter go back to the pool
 //! }
 //! ```
+//!
+//! Six calls route: `route`, `route_named`, `route_masked`,
+//! `route_general`, `route_compiled` and the one-shot [`route_once`].
+//! Caching is context state, not a method name: after
+//! [`EngineCtx::enable_cache`] every one of them goes through the
+//! context's schedule cache, and without it they all route fresh.
+//!
+//! ```
+//! use cst_core::{CstTopology, FaultMask, NodeId};
+//! use cst_comm::CommSet;
+//! use cst_engine::{Csa, EngineCtx, RouteExtra};
+//!
+//! let topo = CstTopology::with_leaves(16);
+//! let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (8, 15)]);
+//! let mut mask = FaultMask::empty(&topo);
+//! mask.kill_switch(NodeId(4)); // drops the two comms over leaves 0..=3
+//! let mut ctx = EngineCtx::new();
+//! ctx.enable_cache(64);
+//! let miss = ctx.route_masked(&Csa, &topo, &set, &mask).unwrap();
+//! assert_eq!(miss.degradation.as_ref().unwrap().dropped, 2);
+//! ctx.recycle(miss);
+//! let hit = ctx.route_masked(&Csa, &topo, &set, &mask).unwrap(); // same key
+//! assert!(matches!(hit.extra, RouteExtra::Cached { .. }));
+//! ```
 
 mod cache;
 mod ctx;
@@ -36,7 +60,7 @@ pub use cache::{batch_representatives, CacheStats, ScheduleCache};
 pub use ctx::{request_fingerprint, EngineCtx, DEFAULT_CACHE_CAPACITY};
 pub use flight::{FlightLease, Joined, SingleFlight};
 pub use shard::ShardedScheduleCache;
-pub use degrade::{route_once_masked, DegradationReport, DroppedComm, ReroutedComm};
+pub use degrade::{DegradationReport, DroppedComm, ReroutedComm};
 pub use general::GeneralOutcome;
 pub use outcome::{PhaseTimings, RouteExtra, RouteOutcome};
 pub use registry::{find, names, registry, route_once, CANONICAL};
@@ -260,9 +284,10 @@ mod tests {
         let topo = CstTopology::with_leaves(16);
         let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (8, 15)]);
         let mut ctx = EngineCtx::new();
-        let miss = ctx.route_cached(&Csa, &topo, &set).unwrap();
+        ctx.enable_cache(DEFAULT_CACHE_CAPACITY);
+        let miss = ctx.route(&Csa, &topo, &set).unwrap();
         assert!(matches!(miss.extra, RouteExtra::Csa { .. }), "first call is a miss");
-        let hit = ctx.route_cached(&Csa, &topo, &set).unwrap();
+        let hit = ctx.route(&Csa, &topo, &set).unwrap();
         assert_eq!(hit.schedule, miss.schedule);
         assert_eq!(hit.power, miss.power);
         assert_eq!(hit.rounds, miss.rounds);
@@ -277,32 +302,8 @@ mod tests {
         let stats = ctx.cache_stats().unwrap();
         assert_eq!(stats.hits, 1);
         // A different router misses: keys include the router name.
-        let other = ctx.route_cached(&General, &topo, &set).unwrap();
+        let other = ctx.route(&General, &topo, &set).unwrap();
         assert!(!matches!(other.extra, RouteExtra::Cached { .. }));
-    }
-
-    #[test]
-    fn batch_dedupes_and_preserves_order() {
-        let topo = CstTopology::with_leaves(16);
-        let a = CommSet::from_pairs(16, &[(0, 7), (1, 6)]);
-        let b = CommSet::from_pairs(16, &[(8, 15)]);
-        let sets = vec![a.clone(), b.clone(), a.clone(), a.clone(), b.clone()];
-        let mut ctx = EngineCtx::new();
-        let outs = ctx.route_batch(&Csa, &topo, &sets).unwrap();
-        assert_eq!(outs.len(), 5);
-        // Representatives routed, duplicates fanned out as cached copies.
-        assert!(matches!(outs[0].extra, RouteExtra::Csa { .. }));
-        assert!(matches!(outs[1].extra, RouteExtra::Csa { .. }));
-        for i in [2, 3] {
-            assert!(matches!(outs[i].extra, RouteExtra::Cached { .. }), "outs[{i}]");
-            assert_eq!(outs[i].schedule, outs[0].schedule, "outs[{i}]");
-            assert_eq!(outs[i].power, outs[0].power);
-        }
-        assert!(matches!(outs[4].extra, RouteExtra::Cached { .. }));
-        assert_eq!(outs[4].schedule, outs[1].schedule);
-        // The scheduler ran exactly twice (misses), never for duplicates.
-        let stats = ctx.cache_stats().unwrap();
-        assert_eq!(stats.misses, 2);
     }
 
     #[test]
@@ -314,13 +315,14 @@ mod tests {
         let mut mask = FaultMask::empty(&topo);
         assert!(mask.kill_switch(NodeId(4)));
         let mut ctx = EngineCtx::new();
-        let plain = ctx.route_cached(&Csa, &topo, &set).unwrap();
-        let masked = ctx.route_masked_cached(&Csa, &topo, &set, &mask).unwrap();
+        ctx.enable_cache(DEFAULT_CACHE_CAPACITY);
+        let plain = ctx.route(&Csa, &topo, &set).unwrap();
+        let masked = ctx.route_masked(&Csa, &topo, &set, &mask).unwrap();
         assert_ne!(masked.schedule, plain.schedule, "mask dropped comms");
         assert_eq!(masked.degradation.as_ref().unwrap().dropped, 2);
         // Hits on both keys, each byte-faithful to its own mode.
-        let plain2 = ctx.route_cached(&Csa, &topo, &set).unwrap();
-        let masked2 = ctx.route_masked_cached(&Csa, &topo, &set, &mask).unwrap();
+        let plain2 = ctx.route(&Csa, &topo, &set).unwrap();
+        let masked2 = ctx.route_masked(&Csa, &topo, &set, &mask).unwrap();
         assert!(matches!(plain2.extra, RouteExtra::Cached { .. }));
         assert!(matches!(masked2.extra, RouteExtra::Cached { .. }));
         assert_eq!(plain2.schedule, plain.schedule);
@@ -328,7 +330,7 @@ mod tests {
         assert_eq!(masked2.degradation, masked.degradation);
         // Empty mask shares the plain entry and reports fault-free.
         let empty = FaultMask::empty(&topo);
-        let clean = ctx.route_masked_cached(&Csa, &topo, &set, &empty).unwrap();
+        let clean = ctx.route_masked(&Csa, &topo, &set, &empty).unwrap();
         assert!(matches!(clean.extra, RouteExtra::Cached { .. }));
         assert_eq!(clean.schedule, plain.schedule);
         assert!(clean.degradation.unwrap().is_clean());
@@ -342,14 +344,13 @@ mod tests {
         assert!(mask.kill_switch(NodeId(4))); // under node 2, over leaves 0..=3
         let mut ctx = EngineCtx::new();
         for name in CANONICAL {
-            let out = ctx.route_named_masked(name, &topo, &set, &mask).unwrap();
+            let router = find(name).unwrap();
+            let out = ctx.route_masked(router.as_ref(), &topo, &set, &mask).unwrap();
             let report = out.degradation.as_ref().unwrap();
             assert_eq!(report.routed + report.dropped, set.len(), "{name}");
             assert_eq!(report.dropped, 2, "{name}");
             ctx.recycle(out);
         }
-        let once = route_once_masked("csa", &topo, &set, &mask).unwrap();
-        assert_eq!(once.degradation.unwrap().dropped, 2);
     }
 
     #[test]
@@ -357,7 +358,8 @@ mod tests {
         let topo = CstTopology::with_leaves(16);
         let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (2, 5), (8, 15)]);
         let mut ctx = EngineCtx::new();
-        let (out, sim) = ctx.route_compiled(&Csa, &topo, &set).unwrap();
+        ctx.enable_cache(DEFAULT_CACHE_CAPACITY);
+        let (out, sim) = ctx.route_compiled(&Csa, &topo, &set, None).unwrap();
         let reference = cst_sim::simulate_schedule(&topo, &set, &out.schedule, None).unwrap();
         assert_eq!(sim.schedule, reference.schedule);
         assert_eq!(sim.cycles, reference.cycles);
@@ -370,7 +372,7 @@ mod tests {
         // Repeat requests hit the cache and replay the attached program:
         // the compile count must not move.
         for _ in 0..3 {
-            let (out, sim) = ctx.route_compiled(&Csa, &topo, &set).unwrap();
+            let (out, sim) = ctx.route_compiled(&Csa, &topo, &set, None).unwrap();
             assert!(matches!(out.extra, RouteExtra::Cached { .. }));
             assert_eq!(sim.deliveries, reference.deliveries);
             assert_eq!(sim.meter, reference.meter);
@@ -388,7 +390,8 @@ mod tests {
         // Node 4 roots leaves 0..=3: all three nested comms route through it.
         assert!(mask.kill_switch(NodeId(4)));
         let mut ctx = EngineCtx::new();
-        let (out, sim) = ctx.route_masked_compiled(&Csa, &topo, &set, &mask).unwrap();
+        ctx.enable_cache(DEFAULT_CACHE_CAPACITY);
+        let (out, sim) = ctx.route_compiled(&Csa, &topo, &set, Some(&mask)).unwrap();
         let report = out.degradation.as_ref().unwrap();
         assert_eq!(report.dropped, 3);
         assert_eq!(sim.deliveries.len(), report.routed);
@@ -397,16 +400,16 @@ mod tests {
         assert_eq!(sim.meter, reference.meter);
         ctx.recycle(out);
         ctx.recycle_sim(sim);
-        // Empty mask shares the plain entry, like route_masked_cached.
+        // Empty mask shares the plain entry, like route_masked.
         let clean = FaultMask::empty(&topo);
-        let (out, sim) = ctx.route_masked_compiled(&Csa, &topo, &set, &clean).unwrap();
+        let (out, sim) = ctx.route_compiled(&Csa, &topo, &set, Some(&clean)).unwrap();
         assert!(out.degradation.unwrap().is_clean());
         assert_eq!(sim.deliveries.len(), set.len());
         ctx.recycle_sim(sim);
         // Disabled cache falls back to the context-pooled program.
         let mut ctx = EngineCtx::new();
         ctx.enable_cache(0);
-        let (out, sim) = ctx.route_compiled(&Csa, &topo, &set).unwrap();
+        let (out, sim) = ctx.route_compiled(&Csa, &topo, &set, None).unwrap();
         let reference = cst_sim::simulate_schedule(&topo, &set, &out.schedule, None).unwrap();
         assert_eq!(sim.deliveries, reference.deliveries);
         assert_eq!(sim.meter, reference.meter);

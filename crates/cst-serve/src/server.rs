@@ -284,7 +284,8 @@ impl WorkerCore {
     /// tag, mirroring Route), then serve with fingerprint coalescing —
     /// an item identical to an earlier one in the same batch (same set
     /// *and* same mask) shares its payload `Arc` instead of re-probing
-    /// or re-routing (the `route_batch` dedupe, applied at the wire).
+    /// or re-routing (`cst_engine::batch_representatives`, applied at the
+    /// wire).
     fn dispatch_batch(&mut self, mut cur: WireCursor<'_>, out: &mut Vec<u8>) -> Result<(), ErrorFrame> {
         let router = cur.take_str().map_err(bad_frame)?;
         let count = cur.take_u32().map_err(bad_frame)? as usize;

@@ -21,10 +21,12 @@
 //! cst-tools list-routers              print the engine registry
 //! ```
 //!
-//! `schedule`, `viz` and `bundle` accept `--router <name>` to dispatch
-//! through any engine-registry router (default `csa`); `list-routers`
-//! prints the registry (`--canonical` restricts to the ten canonical
-//! routers, `--names` prints bare names for scripting).
+//! `schedule`, `sim`, `viz`, `bundle`, `inject`, `stream`, `decomp` and
+//! `bench-serve` accept `--router <name>` to dispatch through any
+//! engine-registry router (default `csa`); the name is resolved once, up
+//! front, and an unknown one exits 2. `list-routers` prints the registry
+//! (`--canonical` restricts to the ten canonical routers, `--names`
+//! prints bare names for scripting).
 //!
 //! `check` reads a [`cst_check::ScheduleBundle`] (as emitted by `bundle`),
 //! runs the static analyzer and prints the findings; `--json` switches to
@@ -71,10 +73,10 @@
 //! (docs/DECOMP.md): a seeded sweep of `--requests` arbitrary
 //! communication sets (`--workload matching|hotspot|bipartite|mixed`,
 //! `--pes`, `--pairs`, `--seed`) is routed through
-//! `EngineCtx::route_general_cached` with `--router` (default `csa`) per
-//! layer; every composite is audited with the `CST3xx` decomposition
-//! pass, each sliced layer with the static analyzer and the reference
-//! model's schedule conformance. `--report` prints the machine-readable
+//! `EngineCtx::route_general` on a context with a schedule cache, with
+//! `--router` (default `csa`) per layer; every composite is audited with
+//! the `CST3xx` decomposition pass, each sliced layer with the static
+//! analyzer and the reference model's schedule conformance. `--report` prints the machine-readable
 //! JSON summary — layer counts vs. the certificate lower bound, proven-
 //! optimal tallies, cache counters — with no timing fields, so identical
 //! flags print identical bytes (gated in scripts/ci.sh against
@@ -144,7 +146,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            viz_pattern(&pattern, &router_arg(&args));
+            viz_pattern(&pattern, router_arg(&args).as_ref());
         }
         Some("schedule") => {
             let pattern = match pattern_arg(&args) {
@@ -154,7 +156,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            schedule_pattern(&pattern, &router_arg(&args));
+            schedule_pattern(&pattern, router_arg(&args).as_ref());
         }
         Some("bundle") => {
             let pattern = match pattern_arg(&args) {
@@ -164,7 +166,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            bundle_pattern(&pattern, &router_arg(&args));
+            bundle_pattern(&pattern, router_arg(&args).as_ref());
         }
         Some("list-routers") => {
             let names_only = args.iter().any(|a| a == "--names");
@@ -204,7 +206,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            inject_pattern(&pattern, &router_arg(&args), &args);
+            inject_pattern(&pattern, router_arg(&args).as_ref(), &args);
         }
         Some("sim") => {
             let pattern = match pattern_arg(&args) {
@@ -214,7 +216,8 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            sim_pattern(&pattern, &router_arg(&args), args.iter().any(|a| a == "--compiled"));
+            let compiled = args.iter().any(|a| a == "--compiled");
+            sim_pattern(&pattern, router_arg(&args).as_ref(), compiled);
         }
         Some("campaign") => {
             let seed = flag_value(&args, "--seed").and_then(|s| s.parse().ok());
@@ -401,13 +404,14 @@ fn flag_values(args: &[String], flag: &str) -> Vec<String> {
         .collect()
 }
 
-/// Value of `--router <name>`, defaulting to the serial CSA router.
-fn router_arg(args: &[String]) -> String {
-    args.iter()
-        .position(|a| a == "--router")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "csa".to_string())
+/// The registry router named by `--router <name>` (default: the serial
+/// CSA), resolved once; exits 2 on an unknown name.
+fn router_arg(args: &[String]) -> Box<dyn cst_engine::Router> {
+    let name = flag_value(args, "--router").unwrap_or_else(|| "csa".to_string());
+    cst_engine::find(&name).unwrap_or_else(|| {
+        eprintln!("unknown router {name} (see cst-tools list-routers)");
+        std::process::exit(2);
+    })
 }
 
 /// Parse a parenthesis pattern and pad it onto a power-of-two tree,
@@ -431,10 +435,10 @@ fn parse_pattern(pattern: &str) -> (cst_core::CstTopology, cst_comm::CommSet) {
 /// Dispatch one pattern through the engine registry, exiting on failure.
 fn route_pattern(
     pattern: &str,
-    router: &str,
+    router: &dyn cst_engine::Router,
 ) -> (cst_core::CstTopology, cst_comm::CommSet, cst_engine::RouteOutcome) {
     let (topo, set) = parse_pattern(pattern);
-    match cst_engine::route_once(router, &topo, &set) {
+    match cst_engine::EngineCtx::new().route(router, &topo, &set) {
         Ok(out) => (topo, set, out),
         Err(e) => {
             eprintln!("cannot schedule: {e}");
@@ -524,10 +528,10 @@ struct InjectOutcome {
 
 /// Route a pattern under a fault mask, audit the degraded schedule, and
 /// report. Exit 0 when the fault audit is clean, 1 otherwise.
-fn inject_pattern(pattern: &str, router: &str, args: &[String]) {
+fn inject_pattern(pattern: &str, router: &dyn cst_engine::Router, args: &[String]) {
     let (topo, set) = parse_pattern(pattern);
     let mask = mask_from_args(args, &topo);
-    let out = match cst_engine::route_once_masked(router, &topo, &set, &mask) {
+    let out = match cst_engine::EngineCtx::new().route_masked(router, &topo, &set, &mask) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("cannot schedule: {e}");
@@ -597,7 +601,7 @@ fn inject_pattern(pattern: &str, router: &str, args: &[String]) {
 /// Schedule a pattern and execute the verified schedule on cst-sim. With
 /// `compiled`, also lower it into a replay program and pin the two
 /// execution paths against each other; exit 1 on divergence.
-fn sim_pattern(pattern: &str, router: &str, compiled: bool) {
+fn sim_pattern(pattern: &str, router: &dyn cst_engine::Router, compiled: bool) {
     let (topo, set, out) = route_pattern(pattern, router);
     let sim = match cst_sim::simulate_schedule(&topo, &set, &out.schedule, None) {
         Ok(s) => s,
@@ -770,10 +774,6 @@ fn run_decomp_sweep(args: &[String]) {
             std::process::exit(2);
         }
     };
-    let Some(router_box) = cst_engine::find(&router) else {
-        eprintln!("unknown router {router} (see cst-tools list-routers)");
-        std::process::exit(2);
-    };
     if pes < 4 || !pes.is_multiple_of(2) {
         eprintln!("--pes wants an even leaf count >= 4, got {pes}");
         std::process::exit(2);
@@ -782,7 +782,7 @@ fn run_decomp_sweep(args: &[String]) {
     let topo = cst_core::CstTopology::with_leaves(pes);
     let mut ctx = cst_engine::EngineCtx::new();
     ctx.enable_cache(cst_engine::DEFAULT_CACHE_CAPACITY);
-    let layer_options = if router == "csa" {
+    let layer_options = if router.name() == "csa" {
         cst_check::CheckOptions::strict()
     } else {
         cst_check::CheckOptions::lenient()
@@ -797,7 +797,7 @@ fn run_decomp_sweep(args: &[String]) {
             "hotspot" => cst_workloads::hotspot(&mut rng, pes, pairs.min(pes - 1)),
             _ => cst_workloads::random_bipartite(&mut rng, pes, pairs.min(pes * pes / 4)),
         };
-        let out = match ctx.route_general_cached(router_box.as_ref(), &topo, &gset) {
+        let out = match ctx.route_general(router.as_ref(), &topo, &gset) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("request {i} ({family}): cannot route: {e}");
@@ -836,7 +836,7 @@ fn run_decomp_sweep(args: &[String]) {
     }
     let stats = ctx.cache_stats().unwrap_or_default();
     let report = DecompReport {
-        router,
+        router: router.name().to_string(),
         workload,
         requests,
         pes,
@@ -909,11 +909,6 @@ fn run_stream(args: &[String]) {
         std::process::exit(2);
     }
 
-    let Some(router_box) = cst_engine::find(&router) else {
-        eprintln!("unknown router {router} (see cst-tools list-routers)");
-        std::process::exit(2);
-    };
-
     let topo = cst_core::CstTopology::with_leaves(pes);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut sets: Vec<cst_comm::CommSet> = (0..working)
@@ -937,7 +932,7 @@ fn run_stream(args: &[String]) {
                 std::process::exit(1);
             }
         }
-        match ctx.route_cached(router_box.as_ref(), &topo, &sets[idx]) {
+        match ctx.route(router.as_ref(), &topo, &sets[idx]) {
             Ok(out) => {
                 total_rounds += out.rounds;
                 total_power_units += out.power.total_units;
@@ -957,7 +952,7 @@ fn run_stream(args: &[String]) {
         (requests as u128 * 1_000_000_000 / elapsed_ns as u128) as u64
     };
     let report = StreamReport {
-        router,
+        router: router.name().to_string(),
         requests,
         pes,
         working,
@@ -1021,14 +1016,14 @@ fn run_stream(args: &[String]) {
 }
 
 /// Visualize a parenthesis pattern's schedule as ASCII trees.
-fn viz_pattern(pattern: &str, router: &str) {
+fn viz_pattern(pattern: &str, router: &dyn cst_engine::Router) {
     let (topo, set, out) = route_pattern(pattern, router);
     print!("{}", viz::render_schedule(&topo, &set, &out.schedule));
 }
 
 /// Schedule a parenthesis pattern and emit the outcome as a JSON
 /// [`cst_check::ScheduleBundle`] on stdout — the artifact `check` audits.
-fn bundle_pattern(pattern: &str, router: &str) {
+fn bundle_pattern(pattern: &str, router: &dyn cst_engine::Router) {
     let (topo, set, out) = route_pattern(pattern, router);
     // Phase-1 counters only apply to right-oriented sets; omit them when
     // the chosen router accepted a set the CSA front end would reject.
@@ -1091,7 +1086,7 @@ fn check_bundle(path: &str, as_json: bool, lenient: bool) {
 }
 
 /// Schedule a parenthesis pattern and print the rounds.
-fn schedule_pattern(pattern: &str, router: &str) {
+fn schedule_pattern(pattern: &str, router: &dyn cst_engine::Router) {
     let (topo, set, out) = route_pattern(pattern, router);
     println!(
         "{} PEs, {} communications, width {} (router {})",

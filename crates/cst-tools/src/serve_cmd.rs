@@ -146,7 +146,7 @@ fn percentile(sorted: &[u64], pct: usize) -> u64 {
 /// `cst-tools bench-serve`: the seeded closed-loop load generator.
 pub fn run_bench_serve(args: &[String]) {
     use rand::{Rng, SeedableRng};
-    let router = crate::router_arg(args);
+    let router = crate::router_arg(args).name().to_string();
     let pes: usize = typed_flag(args, "--pes", 1024);
     let requests: usize = typed_flag(args, "--requests", 256);
     let working: usize = typed_flag(args, "--working", 8);

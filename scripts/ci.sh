@@ -17,6 +17,21 @@ cargo test --quiet --test engine_reuse
 echo "== ci: engine allocation gate =="
 cargo test --quiet --test alloc_gate
 
+echo "== ci: unknown --router is a usage error =="
+# cst-tools resolves --router once, up front, through the engine
+# registry: an unknown name exits 2 (usage) before any routing, never 1.
+cargo build -q -p cst-tools
+for sub in "schedule (())" "inject (())" stream decomp; do
+    status=0
+    # shellcheck disable=SC2086 # split "subcommand pattern" on purpose
+    target/debug/cst-tools $sub --router nope >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "cst-tools $sub --router nope exited $status, want 2" >&2
+        exit 1
+    fi
+done
+echo "unknown --router: exit 2 from schedule, inject, stream, decomp"
+
 echo "== ci: fault campaign soak (determinism + golden) =="
 # The seeded campaign must be a pure function of its config: two runs
 # byte-identical, and both matching the checked-in golden summary.

@@ -115,7 +115,8 @@ proptest! {
         let mut ctx = EngineCtx::new();
         let mut scratch = ReplayScratch::new();
         for name in ["csa", "greedy"] {
-            let out = ctx.route_named_masked(name, &topo, &set, &mask).unwrap();
+            let router = cst::engine::find(name).unwrap();
+            let out = ctx.route_masked(router.as_ref(), &topo, &set, &mask).unwrap();
             let report = out.degradation.as_ref().expect("masked route reports");
             let reference = simulate_schedule(&topo, &set, &out.schedule, None).unwrap();
             let prog = CompiledProgram::compile(&topo, &set, &out.schedule).unwrap();
@@ -146,7 +147,7 @@ fn engine_route_compiled_matches_interpreter() {
     let mut ctx = EngineCtx::new();
     ctx.enable_cache(8);
     for _ in 0..3 {
-        let (out, sim) = ctx.route_compiled(&cst::engine::Csa, &topo, &set).unwrap();
+        let (out, sim) = ctx.route_compiled(&cst::engine::Csa, &topo, &set, None).unwrap();
         let reference = simulate_schedule(&topo, &set, &out.schedule, None).unwrap();
         assert_eq!(sim, reference);
         ctx.recycle(out);

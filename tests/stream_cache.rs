@@ -1,10 +1,12 @@
-//! Integration tests of the streaming front-end: the schedule cache
-//! (keying, LRU eviction, stats) and the batch fan-out, asserting that a
-//! cached outcome is byte-identical (serde) to a freshly scheduled one.
+//! Integration tests of the streaming front-end: the schedule cache as
+//! context state (every routing call consults it once `enable_cache` has
+//! set one up, none does without), its keying, LRU eviction and stats,
+//! asserting that a cached outcome is byte-identical (serde) to a freshly
+//! scheduled one.
 
 use cst::comm::CommSet;
-use cst::core::{CstTopology, FaultMask, NodeId};
-use cst::engine::{Csa, EngineCtx, RouteExtra};
+use cst::core::{CstTopology, FaultMask, GeneralCommSet, NodeId};
+use cst::engine::{Csa, EngineCtx, RouteExtra, RouteOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,8 +23,9 @@ fn cached_schedule_is_serde_identical_to_fresh() {
     for trial in 0..10 {
         let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.6);
         let mut cached_ctx = EngineCtx::new();
-        let miss = cached_ctx.route_cached(&Csa, &topo, &set).unwrap();
-        let hit = cached_ctx.route_cached(&Csa, &topo, &set).unwrap();
+        cached_ctx.enable_cache(8);
+        let miss = cached_ctx.route(&Csa, &topo, &set).unwrap();
+        let hit = cached_ctx.route(&Csa, &topo, &set).unwrap();
         let mut fresh_ctx = EngineCtx::new();
         let fresh = fresh_ctx.route(&Csa, &topo, &set).unwrap();
         assert_eq!(bytes(&hit.schedule), bytes(&fresh.schedule), "trial {trial}");
@@ -35,7 +38,7 @@ fn cached_schedule_is_serde_identical_to_fresh() {
 
 #[test]
 fn mask_flip_between_identical_requests_is_never_stale() {
-    // Satellite regression: `route_masked_cached` must key on the mask —
+    // Regression: the cached `route_masked` must key on the mask —
     // flipping a mask on and off between identical requests must flip the
     // served schedule with it.
     let topo = CstTopology::with_leaves(32);
@@ -44,10 +47,11 @@ fn mask_flip_between_identical_requests_is_never_stale() {
     assert!(mask.kill_switch(NodeId(8)));
 
     let mut ctx = EngineCtx::new();
-    let plain = ctx.route_cached(&Csa, &topo, &set).unwrap();
+    ctx.enable_cache(8);
+    let plain = ctx.route(&Csa, &topo, &set).unwrap();
     for flip in 0..4 {
-        let masked = ctx.route_masked_cached(&Csa, &topo, &set, &mask).unwrap();
-        let replain = ctx.route_cached(&Csa, &topo, &set).unwrap();
+        let masked = ctx.route_masked(&Csa, &topo, &set, &mask).unwrap();
+        let replain = ctx.route(&Csa, &topo, &set).unwrap();
         assert_ne!(
             bytes(&masked.schedule),
             bytes(&replain.schedule),
@@ -80,50 +84,16 @@ fn different_masks_are_distinct_entries() {
     assert!(m2.degrade_edge(NodeId(2)));
 
     let mut ctx = EngineCtx::new();
-    let a1 = ctx.route_masked_cached(&Csa, &topo, &set, &m1).unwrap();
-    let a2 = ctx.route_masked_cached(&Csa, &topo, &set, &m2).unwrap();
-    let b1 = ctx.route_masked_cached(&Csa, &topo, &set, &m1).unwrap();
-    let b2 = ctx.route_masked_cached(&Csa, &topo, &set, &m2).unwrap();
+    ctx.enable_cache(8);
+    let a1 = ctx.route_masked(&Csa, &topo, &set, &m1).unwrap();
+    let a2 = ctx.route_masked(&Csa, &topo, &set, &m2).unwrap();
+    let b1 = ctx.route_masked(&Csa, &topo, &set, &m1).unwrap();
+    let b2 = ctx.route_masked(&Csa, &topo, &set, &m2).unwrap();
     assert_eq!(bytes(&a1.schedule), bytes(&b1.schedule));
     assert_eq!(bytes(&a2.schedule), bytes(&b2.schedule));
     assert_eq!(b1.degradation, a1.degradation);
     assert_eq!(b2.degradation, a2.degradation);
     assert_eq!(ctx.cache_stats().unwrap().entries, 2);
-}
-
-#[test]
-fn batch_fans_out_in_input_order() {
-    let n = 128;
-    let topo = CstTopology::with_leaves(n);
-    let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    let uniques: Vec<CommSet> =
-        (0..4).map(|_| cst::workloads::well_nested_with_density(&mut rng, n, 0.5)).collect();
-    // Interleave duplicates: [0, 1, 0, 2, 1, 3, 0].
-    let order = [0usize, 1, 0, 2, 1, 3, 0];
-    let sets: Vec<CommSet> = order.iter().map(|&i| uniques[i].clone()).collect();
-
-    let mut ctx = EngineCtx::new();
-    let outs = ctx.route_batch(&Csa, &topo, &sets).unwrap();
-    assert_eq!(outs.len(), order.len());
-
-    // Each outcome matches a fresh route of its own input — order held.
-    let mut fresh_ctx = EngineCtx::new();
-    for (pos, (&u, out)) in order.iter().zip(&outs).enumerate() {
-        let fresh = fresh_ctx.route(&Csa, &topo, &uniques[u]).unwrap();
-        assert_eq!(bytes(&out.schedule), bytes(&fresh.schedule), "position {pos}");
-        assert_eq!(out.power, fresh.power, "position {pos}");
-    }
-    // The scheduler ran once per unique set.
-    assert_eq!(ctx.cache_stats().unwrap().misses, 4);
-    // First occurrences routed, repeats fanned out as cached copies.
-    let mut seen = std::collections::HashSet::new();
-    for (&u, out) in order.iter().zip(&outs) {
-        if seen.insert(u) {
-            assert!(!matches!(out.extra, RouteExtra::Cached { .. }));
-        } else {
-            assert!(matches!(out.extra, RouteExtra::Cached { .. }));
-        }
-    }
 }
 
 #[test]
@@ -138,7 +108,7 @@ fn eviction_stats_track_a_tiny_cache() {
     ctx.enable_cache(2);
     // Fill: A, B resident. C evicts A (LRU). A again evicts B.
     for s in [&sets[0], &sets[1], &sets[2], &sets[0]] {
-        let out = ctx.route_cached(&Csa, &topo, s).unwrap();
+        let out = ctx.route(&Csa, &topo, s).unwrap();
         ctx.recycle(out);
     }
     let stats = ctx.cache_stats().unwrap();
@@ -147,7 +117,84 @@ fn eviction_stats_track_a_tiny_cache() {
     assert_eq!(stats.entries, 2);
     assert_eq!(stats.capacity, 2);
     // C is still resident (A evicted B, not C): hits.
-    let out = ctx.route_cached(&Csa, &topo, &sets[2]).unwrap();
+    let out = ctx.route(&Csa, &topo, &sets[2]).unwrap();
     assert!(matches!(out.extra, RouteExtra::Cached { .. }));
     ctx.recycle(out);
+}
+
+/// The requests every routing call of the table below is made with.
+struct Fixture {
+    topo: CstTopology,
+    set: CommSet,
+    gset: GeneralCommSet,
+    live: FaultMask,
+    empty: FaultMask,
+}
+
+/// One routing call: whether it was served from the cache, and the serde
+/// bytes of its schedule.
+type Call = fn(&mut EngineCtx, &Fixture) -> (bool, String);
+
+fn served(out: &RouteOutcome) -> (bool, String) {
+    (matches!(out.extra, RouteExtra::Cached { .. }), bytes(&out.schedule))
+}
+
+#[test]
+fn the_cache_is_context_state_for_every_routing_call() {
+    let topo = CstTopology::with_leaves(32);
+    let mut live = FaultMask::empty(&topo);
+    assert!(live.kill_switch(NodeId(8)));
+    let fx = Fixture {
+        set: CommSet::from_pairs(32, &[(0, 15), (1, 14), (2, 13), (16, 31)]),
+        gset: GeneralCommSet::from_pairs(32, &[(0, 16), (8, 24), (4, 20), (2, 6)]),
+        empty: FaultMask::empty(&topo),
+        live,
+        topo,
+    };
+    let calls: [(&str, Call); 6] = [
+        ("route", |ctx, fx| served(&ctx.route(&Csa, &fx.topo, &fx.set).unwrap())),
+        ("route_named", |ctx, fx| served(&ctx.route_named("csa", &fx.topo, &fx.set).unwrap())),
+        ("route_masked (empty mask)", |ctx, fx| {
+            served(&ctx.route_masked(&Csa, &fx.topo, &fx.set, &fx.empty).unwrap())
+        }),
+        ("route_masked (live mask)", |ctx, fx| {
+            served(&ctx.route_masked(&Csa, &fx.topo, &fx.set, &fx.live).unwrap())
+        }),
+        ("route_general", |ctx, fx| {
+            let out = ctx.route_general(&Csa, &fx.topo, &fx.gset).unwrap();
+            assert!(out.num_layers > 1, "the general set needs several layers");
+            (out.cached_layers == out.num_layers, bytes(&out.schedule))
+        }),
+        ("route_compiled", |ctx, fx| {
+            let (out, sim) = ctx.route_compiled(&Csa, &fx.topo, &fx.set, Some(&fx.live)).unwrap();
+            assert_eq!(sim.deliveries.len(), out.degradation.as_ref().unwrap().routed);
+            served(&out)
+        }),
+    ];
+    for (name, call) in calls {
+        // No cache: every call routes fresh and there are no counters.
+        let mut fresh = EngineCtx::new();
+        let (hit_a, expected) = call(&mut fresh, &fx);
+        let (hit_b, _) = call(&mut fresh, &fx);
+        assert!(!hit_a && !hit_b, "{name}: a cache-less context must never hit");
+        assert!(fresh.cache_stats().is_none(), "{name}: no cache was set up");
+
+        // A cache: the second identical call hits, with the fresh bytes.
+        let mut cached = EngineCtx::new();
+        cached.enable_cache(8);
+        let (first, _) = call(&mut cached, &fx);
+        let (second, served_bytes) = call(&mut cached, &fx);
+        assert!(!first, "{name}: the first call misses");
+        assert!(second, "{name}: the second identical call must hit");
+        assert_eq!(served_bytes, expected, "{name}: hit bytes differ from a fresh route");
+
+        // A capacity-0 cache is present but keeps nothing.
+        let mut zero = EngineCtx::new();
+        zero.enable_cache(0);
+        let (hit_a, bytes_a) = call(&mut zero, &fx);
+        let (hit_b, _) = call(&mut zero, &fx);
+        assert!(!hit_a && !hit_b, "{name}: a capacity-0 cache must never hit");
+        assert_eq!(bytes_a, expected, "{name}");
+        assert_eq!(zero.cache_stats().unwrap().entries, 0, "{name}");
+    }
 }
