@@ -2,7 +2,7 @@
 //!
 //! [`ServeClient`] owns one connection (TCP or Unix) plus reusable
 //! encode/decode buffers; each call writes one request frame and reads
-//! exactly one response frame. Used by `cst-tools bench-serve`, the
+//! exactly one response frame. Used by `cst-tools serve-replay`, the
 //! stress suite, and any external tool that speaks the protocol.
 
 use crate::stats::ServeStats;

@@ -15,7 +15,7 @@
 //!   allocation gate drives it warm and demands 0 allocs on cached
 //!   requests).
 //! * [`client`] — a blocking [`ServeClient`] used by `cst-tools
-//!   bench-serve` and the stress suite.
+//!   serve-replay` and the stress suite.
 //!
 //! Design notes live in `docs/SERVE.md`; the end-to-end correctness
 //! contract (concurrent responses byte-identical to a fresh

@@ -259,10 +259,7 @@ impl WorkerCore {
         let mask = match cur.take_u8().map_err(bad_frame)? {
             0 => None,
             1 => {
-                self.ensure_topo(num_leaves)?;
-                let Some(topo) = self.topo.as_ref() else {
-                    return Err(internal("topology missing after ensure"));
-                };
+                let topo = ensure_topo(&mut self.topo, num_leaves)?;
                 Some(take_mask(&mut cur, topo).map_err(bad_frame)?)
             }
             _ => return Err(bad_frame(WireError::Malformed("mask tag must be 0 or 1"))),
@@ -296,10 +293,7 @@ impl WorkerCore {
             let mask = match cur.take_u8().map_err(bad_frame)? {
                 0 => None,
                 1 => {
-                    self.ensure_topo(set.num_leaves())?;
-                    let Some(topo) = self.topo.as_ref() else {
-                        return Err(internal("topology missing after ensure"));
-                    };
+                    let topo = ensure_topo(&mut self.topo, set.num_leaves())?;
                     Some(take_mask(&mut cur, topo).map_err(bad_frame)?)
                 }
                 _ => {
@@ -431,11 +425,8 @@ impl WorkerCore {
             code: ErrorCode::UnknownRouter,
             message: format!("unknown router {router_name:?}"),
         })?;
-        self.ensure_topo(set.num_leaves())?;
-        let WorkerCore { ref mut ctx, ref topo, ref mut payload_buf, ref shared, .. } = *self;
-        let Some(topo) = topo.as_ref() else {
-            return Err(internal("topology missing after ensure"));
-        };
+        let WorkerCore { ref mut ctx, ref mut topo, ref mut payload_buf, ref shared, .. } = *self;
+        let topo = ensure_topo(topo, set.num_leaves())?;
         ServeCounters::bump(&shared.counters.computations);
         if lead {
             ServeCounters::bump(&shared.counters.singleflight_leaders);
@@ -471,14 +462,16 @@ impl WorkerCore {
         ctx.recycle(outcome);
         Ok(payload)
     }
+}
 
-    fn ensure_topo(&mut self, num_leaves: usize) -> Result<(), ErrorFrame> {
-        if self.topo.as_ref().is_none_or(|t| t.num_leaves() != num_leaves) {
-            let topo = CstTopology::new(num_leaves).map_err(invalid)?;
-            self.topo = Some(topo);
-        }
-        Ok(())
-    }
+/// The topology for `num_leaves`, held in `slot` and rebuilt only when
+/// the leaf count changes.
+fn ensure_topo(slot: &mut Option<CstTopology>, num_leaves: usize) -> Result<&CstTopology, ErrorFrame> {
+    let topo = match slot.take() {
+        Some(topo) if topo.num_leaves() == num_leaves => topo,
+        _ => CstTopology::new(num_leaves).map_err(invalid)?,
+    };
+    Ok(slot.insert(topo))
 }
 
 fn bad_frame(e: WireError) -> ErrorFrame {
@@ -491,10 +484,6 @@ fn bad_frame(e: WireError) -> ErrorFrame {
 
 fn invalid(e: cst_core::CstError) -> ErrorFrame {
     ErrorFrame { code: ErrorCode::InvalidRequest, message: e.to_string() }
-}
-
-fn internal(msg: &str) -> ErrorFrame {
-    ErrorFrame { code: ErrorCode::InvalidRequest, message: msg.to_string() }
 }
 
 // ---------------------------------------------------------------------

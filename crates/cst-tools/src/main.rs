@@ -17,16 +17,19 @@
 //! cst-tools model enumerate           exhaustively cross-check the protocol at small n
 //! cst-tools model conform [pattern]   replay emitter traces through the reference model
 //! cst-tools serve                     run the routing daemon (TCP or Unix socket)
-//! cst-tools bench-serve               seeded closed-loop load generator for the daemon
+//! cst-tools serve-replay              replay a fixed frame sequence, print daemon stats
 //! cst-tools list-routers              print the engine registry
 //! ```
 //!
-//! `schedule`, `sim`, `viz`, `bundle`, `inject`, `stream`, `decomp` and
-//! `bench-serve` accept `--router <name>` to dispatch through any
-//! engine-registry router (default `csa`); the name is resolved once, up
-//! front, and an unknown one exits 2. `list-routers` prints the registry
+//! `schedule`, `sim`, `viz`, `bundle`, `inject`, `stream` and `decomp`
+//! accept `--router <name>` to dispatch through any engine-registry
+//! router (default `csa`); the name is resolved once, up front, and an
+//! unknown one exits 2. `list-routers` prints the registry
 //! (`--canonical` restricts to the ten canonical routers, `--names`
 //! prints bare names for scripting).
+//!
+//! `serve` and `serve-replay` are documented in `serve_cmd.rs` and
+//! docs/SERVE.md; `serve-replay --unix <path>` takes no other flag.
 //!
 //! `check` reads a [`cst_check::ScheduleBundle`] (as emitted by `bundle`),
 //! runs the static analyzer and prints the findings; `--json` switches to
@@ -240,12 +243,12 @@ fn main() {
         Some("serve") => {
             serve_cmd::run_serve(&args);
         }
-        Some("bench-serve") => {
-            serve_cmd::run_bench_serve(&args);
+        Some("serve-replay") => {
+            serve_cmd::run_serve_replay(&args);
         }
         _ => {
             eprintln!(
-                "usage: cst-tools <experiments|report|csv|trace|schedule|sim|viz|bundle|check|inject|campaign|stream|decomp|model|serve|bench-serve|list-routers> [args] [--quick]"
+                "usage: cst-tools <experiments|report|csv|trace|schedule|sim|viz|bundle|check|inject|campaign|stream|decomp|model|serve|serve-replay|list-routers> [args] [--quick]"
             );
             std::process::exit(2);
         }

@@ -141,16 +141,15 @@ fi
 cat "$model_a"
 
 echo "== ci: serve daemon soak (unix socket, determinism + golden) =="
-# One cst-serve daemon on a Unix socket, two seeded single-client
-# bench-serve runs against it. With --clients 1 --reset every stats
-# field in the report is a pure function of the flags: the two runs must
-# be byte-identical once the wall-clock fields are stripped, and both
-# must match the checked-in golden. Regenerate after an intentional
-# change (new counters, new cache policy, new wire layout) by re-running
-# the serve_cmd pipeline below against a fresh daemon:
+# One cst-serve daemon on a Unix socket, two serve-replay runs against
+# it. serve-replay resets the daemon, sends a fixed seeded frame sequence
+# and prints the stats as JSON, with no wall-clock fields: the two runs
+# must be byte-identical, and both must match the checked-in golden.
+# Regenerate after an intentional change (new counters, new cache
+# policy, new wire layout) against a fresh default daemon:
 #   cargo run -q -p cst-tools -- serve --unix target/ci-serve.sock &
-#   cargo run -q -p cst-tools -- bench-serve --unix target/ci-serve.sock \
-#       --clients 1 --reset --json | <strip> > scripts/serve_golden.json
+#   cargo run -q -p cst-tools -- serve-replay --unix target/ci-serve.sock \
+#       > scripts/serve_golden.json
 serve_a="$(mktemp)"
 serve_b="$(mktemp)"
 serve_sock="target/ci-serve.sock"
@@ -169,12 +168,8 @@ if [ ! -f "$serve_ready" ]; then
     echo "cst-serve daemon did not come up on $serve_sock" >&2
     exit 1
 fi
-serve_cmd() {
-    target/debug/cst-tools bench-serve --unix "$serve_sock" --clients 1 --reset --json \
-        | grep -vE '"(uncached_ns_per_req|cached_ns_per_req|speedup|soak_p50_ns|soak_p99_ns|soak_requests_per_sec|contended_hit_p50_ns|contended_hit_p99_ns|available_parallelism|elapsed_ns)"'
-}
-serve_cmd > "$serve_a"
-serve_cmd > "$serve_b"
+target/debug/cst-tools serve-replay --unix "$serve_sock" > "$serve_a"
+target/debug/cst-tools serve-replay --unix "$serve_sock" > "$serve_b"
 if ! cmp -s "$serve_a" "$serve_b"; then
     echo "serve daemon stats are nondeterministic under a fixed seed" >&2
     exit 1
