@@ -8,9 +8,9 @@
 use crate::stats::ServeStats;
 use crate::server::Stream;
 use crate::wire::{
-    encode_batch_masked_request, encode_batch_request, encode_reset_request, encode_route_request,
-    encode_stats_request, decode_response, read_frame, write_frame, ErrorFrame, FrameError,
-    Response, RouteReply, DEFAULT_MAX_FRAME,
+    decode_response, encode_batch_request, encode_reset_request, encode_route_request,
+    encode_stats_request, read_frame, write_frame, ErrorFrame, FrameError, Response, RouteReply,
+    DEFAULT_MAX_FRAME,
 };
 use cst_comm::CommSet;
 use cst_core::wire::WireError;
@@ -136,28 +136,14 @@ impl ServeClient {
         }
     }
 
-    /// Route a batch of sets (no masks); per-item results.
-    pub fn batch(
-        &mut self,
-        router: &str,
-        sets: &[CommSet],
-    ) -> Result<Vec<Result<RouteReply, ErrorFrame>>, ClientError> {
-        encode_batch_request(&mut self.send, router, sets);
-        match self.round_trip()? {
-            Response::Batch(items) => Ok(items),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            _ => Err(ClientError::Unexpected("expected Batch response")),
-        }
-    }
-
     /// Route a batch where each item carries its own optional fault
     /// mask; per-item results.
-    pub fn batch_masked(
+    pub fn batch(
         &mut self,
         router: &str,
         items: &[(CommSet, Option<FaultMask>)],
     ) -> Result<Vec<Result<RouteReply, ErrorFrame>>, ClientError> {
-        encode_batch_masked_request(&mut self.send, router, items);
+        encode_batch_request(&mut self.send, router, items);
         match self.round_trip()? {
             Response::Batch(items) => Ok(items),
             Response::Error(e) => Err(ClientError::Server(e)),

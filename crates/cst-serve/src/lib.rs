@@ -3,10 +3,12 @@
 //! Serves routing requests over a length-prefixed binary protocol on TCP
 //! or Unix sockets. Three layers:
 //!
-//! * [`wire`] — the frame codec: requests (`Route`/`Batch`/`Stats`/
-//!   `Reset`), responses, typed error frames, and the cached route
-//!   *payload* (summary + serde schedule bytes) that is the unit the
-//!   shared cache stores.
+//! * [`wire`] — the frame codec: request encoders and the one request
+//!   decoder ([`wire::RequestDecoder`], which the daemon and the codec
+//!   tests share; a decoded request is a borrowed view, there is no
+//!   owned request type), responses, typed error frames, and the cached
+//!   route *payload* (summary + serde schedule bytes) that is the unit
+//!   the shared cache stores.
 //! * [`server`] — the daemon: a pool of worker threads, each pinning one
 //!   warm [`cst_engine::EngineCtx`], in front of one shared
 //!   [`cst_engine::ShardedScheduleCache`] keyed by the same request
@@ -29,4 +31,4 @@ pub mod wire;
 pub use client::{ClientError, ServeClient};
 pub use server::{ServeAddr, ServeConfig, ServeShared, Server, WorkerCore, MAX_CACHE_CAPACITY};
 pub use stats::{ServeCounters, ServeStats};
-pub use wire::{ErrorCode, ErrorFrame, Request, Response, RouteReply, RouteSummary};
+pub use wire::{ErrorCode, ErrorFrame, Response, RouteReply, RouteSummary};

@@ -48,11 +48,11 @@
 use crate::stats::{ServeCounters, ServeStats};
 use crate::wire::{
     encode_batch_response, encode_error_response, encode_reset_response, encode_route_response,
-    encode_stats_response, encode_payload, take_mask, take_set, write_frame, DegradationSummary,
-    ErrorCode, ErrorFrame, ServedItem, REQ_BATCH, REQ_RESET, REQ_ROUTE, REQ_STATS,
+    encode_stats_response, encode_payload, served_response_len, write_frame, DegradationSummary,
+    ErrorCode, ErrorFrame, RequestDecoder, RequestView, ServedItem, REQ_RESET, REQ_ROUTE,
+    REQ_STATS,
 };
 use cst_comm::CommSet;
-use cst_core::wire::{WireCursor, WireError};
 use cst_core::{CstTopology, FaultMask};
 use cst_engine::{
     batch_representatives, request_fingerprint, EngineCtx, Joined, ShardedScheduleCache,
@@ -169,22 +169,17 @@ impl ServeShared {
     }
 }
 
-/// One worker's private serving state: engine context, decode scratch,
+/// One worker's private serving state: engine context, request decoder,
 /// and a handle to the shared state. `handle_frame` is the entire
 /// request→response function, exposed so tests can drive it without
 /// sockets (the allocation gate pins the warm cached path at 0 allocs).
 pub struct WorkerCore {
     shared: Arc<ServeShared>,
     ctx: EngineCtx,
-    /// Decoded request set (reused; `rebuild_from_pairs`).
-    set: CommSet,
-    /// Endpoint-role scratch for set validation.
-    role: Vec<bool>,
-    /// Decoded `(source, dest)` pairs.
-    pairs: Vec<(usize, usize)>,
-    /// Topology of the last request's size, rebuilt only when the leaf
-    /// count changes.
-    topo: Option<CstTopology>,
+    /// Request decode scratch (sets rebuilt in place).
+    decoder: RequestDecoder,
+    /// Per-item results of the frame being served (reused).
+    served: Vec<ServedItem>,
     /// Payload assembly buffer (miss path).
     payload_buf: Vec<u8>,
 }
@@ -195,10 +190,8 @@ impl WorkerCore {
         WorkerCore {
             shared,
             ctx: EngineCtx::new(),
-            set: CommSet::empty(0),
-            role: Vec::new(),
-            pairs: Vec::new(),
-            topo: None,
+            decoder: RequestDecoder::new(),
+            served: Vec::new(),
             payload_buf: Vec::new(),
         }
     }
@@ -208,153 +201,109 @@ impl WorkerCore {
     /// invalid requests become typed error frames.
     pub fn handle_frame(&mut self, body: &[u8], out: &mut Vec<u8>) {
         ServeCounters::bump(&self.shared.counters.frames);
-        if let Err(err) = self.dispatch(body, out) {
+        // Move the decoder out so the view it returns can be served
+        // alongside `&mut self` (moves Vec pointers, no allocation).
+        let mut decoder = std::mem::take(&mut self.decoder);
+        let result = decoder.decode(body).map(|req| self.dispatch(req, out));
+        self.decoder = decoder;
+        if let Err(err) = result {
             ServeCounters::bump(&self.shared.counters.errors);
             encode_error_response(out, &err);
         }
     }
 
-    fn dispatch(&mut self, body: &[u8], out: &mut Vec<u8>) -> Result<(), ErrorFrame> {
-        let mut cur = WireCursor::new(body);
-        let kind = cur.take_u8().map_err(bad_frame)?;
-        match kind {
-            REQ_ROUTE => self.dispatch_route(cur, out),
-            REQ_BATCH => self.dispatch_batch(cur, out),
-            REQ_STATS => {
-                cur.expect_end().map_err(bad_frame)?;
-                encode_stats_response(out, &self.shared.stats());
-                Ok(())
-            }
+    fn dispatch(&mut self, req: RequestView<'_>, out: &mut Vec<u8>) {
+        match req.kind {
+            REQ_STATS => encode_stats_response(out, &self.shared.stats()),
             REQ_RESET => {
-                cur.expect_end().map_err(bad_frame)?;
                 self.shared.reset();
                 // Reset's own frame stays counted: bump after zeroing so
                 // the double-run golden starts from a known state.
                 ServeCounters::bump(&self.shared.counters.frames);
                 encode_reset_response(out);
-                Ok(())
             }
-            _ => Err(ErrorFrame {
-                code: ErrorCode::BadFrame,
-                message: format!("unknown request kind 0x{kind:02x}"),
-            }),
+            _ => self.serve_items(req, out),
         }
     }
 
-    /// Route request: decode into scratch (allocation-free when warm),
-    /// then serve through the shared cache.
-    fn dispatch_route(&mut self, mut cur: WireCursor<'_>, out: &mut Vec<u8>) -> Result<(), ErrorFrame> {
-        let router = cur.take_str().map_err(bad_frame)?;
-        let num_leaves = cur.take_u64().map_err(bad_frame)? as usize;
-        let count = cur.take_u32().map_err(bad_frame)? as usize;
-        self.pairs.clear();
-        for _ in 0..count {
-            let s = cur.take_u32().map_err(bad_frame)? as usize;
-            let d = cur.take_u32().map_err(bad_frame)? as usize;
-            self.pairs.push((s, d));
-        }
-        self.set
-            .rebuild_from_pairs(num_leaves, self.pairs.iter().copied(), &mut self.role)
-            .map_err(invalid)?;
-        let mask = match cur.take_u8().map_err(bad_frame)? {
-            0 => None,
-            1 => {
-                let topo = ensure_topo(&mut self.topo, num_leaves)?;
-                Some(take_mask(&mut cur, topo).map_err(bad_frame)?)
-            }
-            _ => return Err(bad_frame(WireError::Malformed("mask tag must be 0 or 1"))),
+    /// Route or Batch (a Route is a batch of one): serve every item,
+    /// then answer with the response the frame kind asks for. An item
+    /// identical to an earlier one in the same frame (same set *and*
+    /// same mask) shares its payload `Arc` instead of re-probing or
+    /// re-routing (`cst_engine::batch_representatives`, applied at the
+    /// wire). Each item counts as one response or one error; a response
+    /// body over `max_frame` is never built, and its frame is answered
+    /// with `Oversize`, every item counting as an error.
+    fn serve_items(&mut self, req: RequestView<'_>, out: &mut Vec<u8>) {
+        let RequestView { kind, router, items } = req;
+        let mut served = std::mem::take(&mut self.served);
+        // A single item has nothing to coalesce with; skipping the
+        // dedupe keeps the Route path allocation-free.
+        let reps = if items.len() > 1 {
+            let fps: Vec<u64> = items
+                .iter()
+                .map(|it| request_fingerprint(router, &it.set, it.mask.as_ref()))
+                .collect();
+            batch_representatives(&fps, |j, i| {
+                items[j].set == items[i].set && items[j].mask == items[i].mask
+            })
+        } else {
+            Vec::new()
         };
-        cur.expect_end().map_err(bad_frame)?;
-
-        // Swap the scratch set out so `serve_one` can take `&mut self`
-        // alongside it (moves Vec pointers, no allocation).
-        let set = std::mem::replace(&mut self.set, CommSet::empty(0));
-        let served = self.serve_one(router, &set, mask.as_ref());
-        self.set = set;
-        let (cached, payload) = served?;
-        ServeCounters::bump(&self.shared.counters.responses);
-        encode_route_response(out, cached, &payload);
-        Ok(())
-    }
-
-    /// Batch request: decode all items (each with its own fault-mask
-    /// tag, mirroring Route), then serve with fingerprint coalescing —
-    /// an item identical to an earlier one in the same batch (same set
-    /// *and* same mask) shares its payload `Arc` instead of re-probing
-    /// or re-routing (`cst_engine::batch_representatives`, applied at the
-    /// wire).
-    fn dispatch_batch(&mut self, mut cur: WireCursor<'_>, out: &mut Vec<u8>) -> Result<(), ErrorFrame> {
-        let router = cur.take_str().map_err(bad_frame)?;
-        let count = cur.take_u32().map_err(bad_frame)? as usize;
-        let mut sets: Vec<CommSet> = Vec::with_capacity(count.min(1 << 16));
-        let mut masks: Vec<Option<FaultMask>> = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            let set = take_set(&mut cur).map_err(bad_frame)?;
-            let mask = match cur.take_u8().map_err(bad_frame)? {
-                0 => None,
-                1 => {
-                    let topo = ensure_topo(&mut self.topo, set.num_leaves())?;
-                    Some(take_mask(&mut cur, topo).map_err(bad_frame)?)
-                }
-                _ => {
-                    return Err(bad_frame(WireError::Malformed(
-                        "batch mask tag must be 0 or 1",
-                    )))
-                }
-            };
-            sets.push(set);
-            masks.push(mask);
-        }
-        cur.expect_end().map_err(bad_frame)?;
-
-        let fps: Vec<u64> = sets
-            .iter()
-            .zip(&masks)
-            .map(|(s, m)| request_fingerprint(router, s, m.as_ref()))
-            .collect();
-        let reps = batch_representatives(&fps, |j, i| sets[j] == sets[i] && masks[j] == masks[i]);
-        let mut items: Vec<ServedItem> = Vec::with_capacity(sets.len());
-        for (i, &j) in reps.iter().enumerate() {
-            if j != i {
+        for (i, item) in items.iter().enumerate() {
+            let rep = reps.get(i).copied().unwrap_or(i);
+            if rep != i {
                 ServeCounters::bump(&self.shared.counters.requests);
                 ServeCounters::bump(&self.shared.counters.coalesced);
-                let item = match &items[j] {
-                    // A coalesced copy of a served item is by definition
-                    // served from memory: report it cached.
-                    Ok((_, payload)) => {
-                        ServeCounters::bump(&self.shared.counters.responses);
-                        Ok((true, Arc::clone(payload)))
-                    }
-                    Err(e) => {
-                        ServeCounters::bump(&self.shared.counters.errors);
-                        Err(e.clone())
-                    }
-                };
-                items.push(item);
+                // A coalesced copy of a served item is by definition
+                // served from memory: report it cached.
+                let copy = served[rep].clone().map(|(_, payload)| (true, payload));
+                served.push(copy);
                 continue;
             }
-            let item = self.serve_one(router, &sets[i], masks[i].as_ref());
-            match &item {
-                Ok(_) => ServeCounters::bump(&self.shared.counters.responses),
-                Err(_) => ServeCounters::bump(&self.shared.counters.errors),
-            }
-            items.push(item);
+            let item = self.serve_one(router, &item.topo, &item.set, item.mask.as_ref());
+            served.push(item);
         }
-        encode_batch_response(out, &items);
-        Ok(())
+
+        let route = kind == REQ_ROUTE;
+        let len = served_response_len(route, &served);
+        let max = self.shared.config.max_frame;
+        for item in &served {
+            let counter = match item {
+                Ok(_) if len <= max => &self.shared.counters.responses,
+                _ => &self.shared.counters.errors,
+            };
+            ServeCounters::bump(counter);
+        }
+        if len > max {
+            let err = ErrorFrame {
+                code: ErrorCode::Oversize,
+                message: format!("response of {len} bytes exceeds cap {max}"),
+            };
+            encode_error_response(out, &err);
+        } else if !route {
+            encode_batch_response(out, &served);
+        } else {
+            match &served[0] {
+                Ok((cached, payload)) => encode_route_response(out, *cached, payload),
+                Err(e) => encode_error_response(out, e),
+            }
+        }
+        served.clear();
+        self.served = served;
     }
 
     /// Serve one (router, set, mask) item through the three-tier path
     /// described in the module docs: lock-free tier probe, single-flight
     /// join, then the locked probe + route. Bumps `requests`; the caller
-    /// accounts responses/errors (frame- and item-level counting
-    /// differ).
+    /// accounts responses/errors.
     fn serve_one(
         &mut self,
         router: &str,
+        topo: &CstTopology,
         set: &CommSet,
         mask: Option<&FaultMask>,
-    ) -> Result<(bool, Arc<[u8]>), ErrorFrame> {
+    ) -> ServedItem {
         ServeCounters::bump(&self.shared.counters.requests);
         let fp = request_fingerprint(router, set, mask);
 
@@ -383,7 +332,7 @@ impl WorkerCore {
                 // cache publish inside `route_and_insert` happens before
                 // `complete`, so a latecomer that finds the flight gone
                 // is guaranteed a cache hit (exactly-once, not racily).
-                match self.route_and_insert(router, set, mask, fp, true) {
+                match self.route_and_insert(router, topo, set, mask, fp, true) {
                     Ok(payload) => {
                         lease.complete(Arc::clone(&payload));
                         Ok((false, payload))
@@ -401,7 +350,7 @@ impl WorkerCore {
                 if let Some(payload) = self.shared.cache.lookup_payload(fp, router, set, mask) {
                     return Ok((true, payload));
                 }
-                let payload = self.route_and_insert(router, set, mask, fp, false)?;
+                let payload = self.route_and_insert(router, topo, set, mask, fp, false)?;
                 Ok((false, payload))
             }
         }
@@ -411,11 +360,12 @@ impl WorkerCore {
     /// to the shared cache, and recycle the whole outcome into this
     /// worker's engine context. `lead` marks a single-flight
     /// leader; both it and `computations` are counted just before the
-    /// engine route call, so requests rejected earlier (unknown router,
-    /// bad topology) count as neither.
+    /// engine route call, so a request rejected earlier (unknown router)
+    /// counts as neither.
     fn route_and_insert(
         &mut self,
         router_name: &str,
+        topo: &CstTopology,
         set: &CommSet,
         mask: Option<&FaultMask>,
         fp: u64,
@@ -425,8 +375,7 @@ impl WorkerCore {
             code: ErrorCode::UnknownRouter,
             message: format!("unknown router {router_name:?}"),
         })?;
-        let WorkerCore { ref mut ctx, ref mut topo, ref mut payload_buf, ref shared, .. } = *self;
-        let topo = ensure_topo(topo, set.num_leaves())?;
+        let WorkerCore { ref mut ctx, ref mut payload_buf, ref shared, .. } = *self;
         ServeCounters::bump(&shared.counters.computations);
         if lead {
             ServeCounters::bump(&shared.counters.singleflight_leaders);
@@ -462,28 +411,6 @@ impl WorkerCore {
         ctx.recycle(outcome);
         Ok(payload)
     }
-}
-
-/// The topology for `num_leaves`, held in `slot` and rebuilt only when
-/// the leaf count changes.
-fn ensure_topo(slot: &mut Option<CstTopology>, num_leaves: usize) -> Result<&CstTopology, ErrorFrame> {
-    let topo = match slot.take() {
-        Some(topo) if topo.num_leaves() == num_leaves => topo,
-        _ => CstTopology::new(num_leaves).map_err(invalid)?,
-    };
-    Ok(slot.insert(topo))
-}
-
-fn bad_frame(e: WireError) -> ErrorFrame {
-    let code = match e {
-        WireError::TooLong { .. } => ErrorCode::Oversize,
-        _ => ErrorCode::BadFrame,
-    };
-    ErrorFrame { code, message: e.to_string() }
-}
-
-fn invalid(e: cst_core::CstError) -> ErrorFrame {
-    ErrorFrame { code: ErrorCode::InvalidRequest, message: e.to_string() }
 }
 
 // ---------------------------------------------------------------------

@@ -22,6 +22,15 @@
 //! up u8)… · edges u32 · ids… u32` (sized by the set's `num_leaves`).
 //! Batch items carry their mask tag per item, mirroring Route.
 //!
+//! Requests have one decoder, [`RequestDecoder`]: the daemon's
+//! `WorkerCore` and the codec tests both call it, and there is no owned
+//! request type. It decodes into reused scratch and returns a borrowed
+//! [`RequestView`]; a Route is read as a batch of one item. It checks
+//! every leaf count against [`MAX_LEAVES`] and the topology rule before
+//! sizing anything by it. Its errors split by cause: a body that does
+//! not parse is [`ErrorCode::BadFrame`], a set, topology or mask that
+//! fails validation is [`ErrorCode::InvalidRequest`].
+//!
 //! ## Responses
 //!
 //! | kind | name  | body |
@@ -142,32 +151,16 @@ impl fmt::Display for ErrorFrame {
     }
 }
 
-/// A decoded request, owned. The server's hot path decodes in place
-/// instead (see `WorkerCore`); this form is for clients, tests, and the
-/// codec proptests.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Route one set, optionally under a fault mask.
-    Route {
-        /// Registry router name.
-        router: String,
-        /// The communication set.
-        set: CommSet,
-        /// Optional fault mask (sized by the set's leaf count).
-        mask: Option<FaultMask>,
-    },
-    /// Route many sets through one router with fingerprint coalescing.
-    Batch {
-        /// Registry router name.
-        router: String,
-        /// The communication sets with their optional per-item fault
-        /// masks, in request order.
-        items: Vec<(CommSet, Option<FaultMask>)>,
-    },
-    /// Snapshot the server's counters.
-    Stats,
-    /// Zero every counter and drop every cache entry.
-    Reset,
+/// A body that does not parse is a bad frame; a declared length over a
+/// decoder limit is oversize.
+impl From<WireError> for ErrorFrame {
+    fn from(e: WireError) -> ErrorFrame {
+        let code = match e {
+            WireError::TooLong { .. } => ErrorCode::Oversize,
+            _ => ErrorCode::BadFrame,
+        };
+        ErrorFrame { code, message: e.to_string() }
+    }
 }
 
 /// A decoded response, owned.
@@ -316,7 +309,14 @@ fn put_set(buf: &mut Vec<u8>, set: &CommSet) {
     }
 }
 
-fn put_mask(buf: &mut Vec<u8>, mask: &FaultMask) {
+/// One request item: the set, then the mask tag and the optional mask.
+fn put_item(buf: &mut Vec<u8>, set: &CommSet, mask: Option<&FaultMask>) {
+    put_set(buf, set);
+    let Some(mask) = mask else {
+        put_u8(buf, 0);
+        return;
+    };
+    put_u8(buf, 1);
     put_u32(buf, mask.dead_switches().len() as u32);
     for n in mask.dead_switches() {
         put_u32(buf, n.0 as u32);
@@ -337,51 +337,19 @@ pub fn encode_route_request(buf: &mut Vec<u8>, router: &str, set: &CommSet, mask
     buf.clear();
     put_u8(buf, REQ_ROUTE);
     put_str(buf, router);
-    put_set(buf, set);
-    match mask {
-        None => put_u8(buf, 0),
-        Some(m) => {
-            put_u8(buf, 1);
-            put_mask(buf, m);
-        }
-    }
+    put_item(buf, set, mask);
 }
 
-/// Encode a Batch request body into `buf` (cleared first): every item is
-/// unmasked (mask tag 0). Convenience over
-/// [`encode_batch_masked_request`].
-pub fn encode_batch_request(buf: &mut Vec<u8>, router: &str, sets: &[CommSet]) {
-    buf.clear();
-    put_u8(buf, REQ_BATCH);
-    put_str(buf, router);
-    put_u32(buf, sets.len() as u32);
-    for set in sets {
-        put_set(buf, set);
-        put_u8(buf, 0);
-    }
-}
-
-/// Encode a Batch request body into `buf` (cleared first) with an
-/// optional fault mask per item (each tagged 0/1 exactly like a Route
-/// request's mask).
-pub fn encode_batch_masked_request(
-    buf: &mut Vec<u8>,
-    router: &str,
-    items: &[(CommSet, Option<FaultMask>)],
-) {
+/// Encode a Batch request body into `buf` (cleared first): each item is
+/// a set with its own optional fault mask, tagged 0/1 exactly like a
+/// Route request's mask.
+pub fn encode_batch_request(buf: &mut Vec<u8>, router: &str, items: &[(CommSet, Option<FaultMask>)]) {
     buf.clear();
     put_u8(buf, REQ_BATCH);
     put_str(buf, router);
     put_u32(buf, items.len() as u32);
     for (set, mask) in items {
-        put_set(buf, set);
-        match mask {
-            None => put_u8(buf, 0),
-            Some(m) => {
-                put_u8(buf, 1);
-                put_mask(buf, m);
-            }
-        }
+        put_item(buf, set, mask.as_ref());
     }
 }
 
@@ -397,117 +365,170 @@ pub fn encode_reset_request(buf: &mut Vec<u8>) {
     put_u8(buf, REQ_RESET);
 }
 
-/// Encode any owned [`Request`].
-pub fn encode_request(buf: &mut Vec<u8>, req: &Request) {
-    match req {
-        Request::Route { router, set, mask } => {
-            encode_route_request(buf, router, set, mask.as_ref())
+// ---------------------------------------------------------------------
+// Request decoding
+// ---------------------------------------------------------------------
+
+/// The largest leaf count a request set may declare, and the most
+/// leaves the masked items of one frame may declare together. The
+/// decoder checks it before it sizes anything by the leaf count (the
+/// set's endpoint-role scratch, an empty `FaultMask`), so a short
+/// frame cannot make the daemon allocate for a huge tree. At 2^20 the
+/// role scratch is 1 MiB and one frame's masks about 8 MiB.
+pub const MAX_LEAVES: usize = 1 << 20;
+
+/// One decoded request item: a validated set on its topology, with its
+/// optional fault mask.
+#[derive(Debug)]
+pub struct RequestItem {
+    /// The set's topology (`2^k` leaves, `2 <= 2^k <=` [`MAX_LEAVES`]).
+    pub topo: CstTopology,
+    /// The communication set, validated against its leaf count.
+    pub set: CommSet,
+    /// The fault mask, validated against `topo`.
+    pub mask: Option<FaultMask>,
+}
+
+/// A decoded request, borrowed from the frame body and the decoder.
+#[derive(Debug)]
+pub struct RequestView<'a> {
+    /// [`REQ_ROUTE`], [`REQ_BATCH`], [`REQ_STATS`] or [`REQ_RESET`].
+    pub kind: u8,
+    /// The router name; empty for Stats and Reset.
+    pub router: &'a str,
+    /// One item for Route, the items in request order for Batch, none
+    /// for Stats and Reset.
+    pub items: &'a [RequestItem],
+}
+
+/// The request decoder: the daemon's `WorkerCore` and the codec tests
+/// both parse request bodies with it. Its scratch is reused across
+/// frames: each item's set is rebuilt in place (`rebuild_from_pairs`),
+/// so decoding a repeated Route frame allocates nothing once warm.
+///
+/// Errors are typed [`ErrorFrame`]s. A body that does not parse
+/// (truncation, bad tag, trailing bytes) is [`ErrorCode::BadFrame`]; a
+/// body that parses but describes an invalid set, topology or mask is
+/// [`ErrorCode::InvalidRequest`]. The first problem in byte order
+/// decides. Arbitrary bytes give `Err`, never a panic (property-tested).
+#[derive(Debug, Default)]
+pub struct RequestDecoder {
+    items: Vec<RequestItem>,
+    pairs: Vec<(usize, usize)>,
+    role: Vec<bool>,
+}
+
+impl RequestDecoder {
+    /// A decoder with empty scratch.
+    pub fn new() -> RequestDecoder {
+        RequestDecoder::default()
+    }
+
+    /// Decode one request body. The view borrows the body (the router
+    /// name) and this decoder (the items) until the next decode.
+    pub fn decode<'a>(&'a mut self, body: &'a [u8]) -> Result<RequestView<'a>, ErrorFrame> {
+        let mut cur = WireCursor::new(body);
+        let kind = cur.take_u8()?;
+        let (router, count) = match kind {
+            REQ_ROUTE => (cur.take_str()?, 1),
+            REQ_BATCH => (cur.take_str()?, cur.take_u32()? as usize),
+            REQ_STATS | REQ_RESET => ("", 0),
+            _ => {
+                return Err(ErrorFrame {
+                    code: ErrorCode::BadFrame,
+                    message: format!("unknown request kind 0x{kind:02x}"),
+                })
+            }
+        };
+        let mut mask_leaves = 0;
+        for i in 0..count {
+            self.decode_item(&mut cur, i, &mut mask_leaves)?;
         }
-        Request::Batch { router, items } => encode_batch_masked_request(buf, router, items),
-        Request::Stats => encode_stats_request(buf),
-        Request::Reset => encode_reset_request(buf),
+        cur.expect_end()?;
+        Ok(RequestView { kind, router, items: &self.items[..count] })
+    }
+
+    /// Decode item `i` into `self.items[i]`, growing the pool by at most
+    /// one item.
+    fn decode_item(
+        &mut self,
+        cur: &mut WireCursor<'_>,
+        i: usize,
+        mask_leaves: &mut usize,
+    ) -> Result<(), ErrorFrame> {
+        let num_leaves = cur.take_u64()?;
+        let count = cur.take_u32()?;
+        self.pairs.clear();
+        for _ in 0..count {
+            let s = cur.take_u32()? as usize;
+            let d = cur.take_u32()? as usize;
+            self.pairs.push((s, d));
+        }
+        if num_leaves > MAX_LEAVES as u64 {
+            return Err(invalid(format!(
+                "set declares {num_leaves} leaves, above the limit of {MAX_LEAVES}"
+            )));
+        }
+        let num_leaves = num_leaves as usize;
+        let topo = CstTopology::new(num_leaves).map_err(|e| invalid(e.to_string()))?;
+        if i == self.items.len() {
+            self.items.push(RequestItem { topo, set: CommSet::empty(0), mask: None });
+        } else {
+            self.items[i].topo = topo;
+        }
+        let item = &mut self.items[i];
+        item.set
+            .rebuild_from_pairs(num_leaves, self.pairs.iter().copied(), &mut self.role)
+            .map_err(|e| invalid(e.to_string()))?;
+        item.mask = match cur.take_u8()? {
+            0 => None,
+            1 => {
+                *mask_leaves += num_leaves;
+                if *mask_leaves > MAX_LEAVES {
+                    return Err(invalid(format!(
+                        "masked items declare more than {MAX_LEAVES} leaves in total"
+                    )));
+                }
+                Some(take_mask(cur, &item.topo)?)
+            }
+            _ => return Err(WireError::Malformed("mask tag must be 0 or 1").into()),
+        };
+        Ok(())
     }
 }
 
-// ---------------------------------------------------------------------
-// Request decoding (owned — clients, tests; the server decodes in place)
-// ---------------------------------------------------------------------
-
-/// Decode one set (owned).
-pub fn take_set(cur: &mut WireCursor<'_>) -> Result<CommSet, WireError> {
-    let num_leaves = cur.take_u64()? as usize;
-    let count = cur.take_u32()? as usize;
-    let mut set = CommSet::empty(0);
-    let mut role = Vec::new();
-    let mut pairs = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let s = cur.take_u32()? as usize;
-        let d = cur.take_u32()? as usize;
-        pairs.push((s, d));
-    }
-    set.rebuild_from_pairs(num_leaves, pairs, &mut role)
-        .map_err(|_| WireError::Malformed("invalid communication set"))?;
-    Ok(set)
-}
-
-/// Decode one mask (owned). Needs the topology because a `FaultMask` is
-/// sized by it; fault ids the mask rejects are malformed.
-pub fn take_mask(cur: &mut WireCursor<'_>, topo: &CstTopology) -> Result<FaultMask, WireError> {
+/// Decode one mask on `topo`. A fault id the mask rejects is an
+/// invalid request; a bad direction byte is a bad frame.
+fn take_mask(cur: &mut WireCursor<'_>, topo: &CstTopology) -> Result<FaultMask, ErrorFrame> {
     let mut mask = FaultMask::empty(topo);
-    let switches = cur.take_u32()?;
-    for _ in 0..switches {
+    for _ in 0..cur.take_u32()? {
         let id = cur.take_u32()? as usize;
         if !mask.kill_switch(NodeId(id)) {
-            return Err(WireError::Malformed("invalid dead-switch id"));
+            return Err(invalid(format!("invalid dead-switch id {id}")));
         }
     }
-    let links = cur.take_u32()?;
-    for _ in 0..links {
+    for _ in 0..cur.take_u32()? {
         let child = cur.take_u32()? as usize;
         let up = match cur.take_u8()? {
             0 => false,
             1 => true,
-            _ => return Err(WireError::Malformed("link direction must be 0 or 1")),
+            _ => return Err(WireError::Malformed("link direction must be 0 or 1").into()),
         };
         if !mask.kill_link(DirectedLink { child: NodeId(child), up }) {
-            return Err(WireError::Malformed("invalid dead-link id"));
+            return Err(invalid(format!("invalid dead-link child id {child}")));
         }
     }
-    let edges = cur.take_u32()?;
-    for _ in 0..edges {
+    for _ in 0..cur.take_u32()? {
         let id = cur.take_u32()? as usize;
         if !mask.degrade_edge(NodeId(id)) {
-            return Err(WireError::Malformed("invalid degraded-edge id"));
+            return Err(invalid(format!("invalid degraded-edge id {id}")));
         }
     }
     Ok(mask)
 }
 
-/// Decode a request body into its owned form. Arbitrary bytes must
-/// produce `Err`, never a panic (property-tested).
-pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
-    let mut cur = WireCursor::new(body);
-    let kind = cur.take_u8()?;
-    let req = match kind {
-        REQ_ROUTE => {
-            let router = cur.take_str()?.to_string();
-            let set = take_set(&mut cur)?;
-            let mask = match cur.take_u8()? {
-                0 => None,
-                1 => {
-                    let topo = CstTopology::new(set.num_leaves())
-                        .map_err(|_| WireError::Malformed("mask on invalid topology size"))?;
-                    Some(take_mask(&mut cur, &topo)?)
-                }
-                _ => return Err(WireError::Malformed("mask tag must be 0 or 1")),
-            };
-            Request::Route { router, set, mask }
-        }
-        REQ_BATCH => {
-            let router = cur.take_str()?.to_string();
-            let count = cur.take_u32()? as usize;
-            let mut items = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                let set = take_set(&mut cur)?;
-                let mask = match cur.take_u8()? {
-                    0 => None,
-                    1 => {
-                        let topo = CstTopology::new(set.num_leaves())
-                            .map_err(|_| WireError::Malformed("mask on invalid topology size"))?;
-                        Some(take_mask(&mut cur, &topo)?)
-                    }
-                    _ => return Err(WireError::Malformed("batch mask tag must be 0 or 1")),
-                };
-                items.push((set, mask));
-            }
-            Request::Batch { router, items }
-        }
-        REQ_STATS => Request::Stats,
-        REQ_RESET => Request::Reset,
-        _ => return Err(WireError::Malformed("unknown request kind")),
-    };
-    cur.expect_end()?;
-    Ok(req)
+fn invalid(message: String) -> ErrorFrame {
+    ErrorFrame { code: ErrorCode::InvalidRequest, message }
 }
 
 // ---------------------------------------------------------------------
@@ -631,6 +652,26 @@ pub fn encode_batch_response(buf: &mut Vec<u8>, items: &[ServedItem]) {
                 put_error_body(buf, e);
             }
         }
+    }
+}
+
+/// Body length of the response `items` get, computed without building
+/// it: for `route`, the Route response of the one item (an Error
+/// response if it failed); otherwise the Batch response.
+pub fn served_response_len(route: bool, items: &[ServedItem]) -> usize {
+    // A Route or Error body is laid out like one Batch item, with the
+    // kind byte in place of the item tag.
+    let items_len: usize = items
+        .iter()
+        .map(|item| match item {
+            Ok((_, payload)) => 2 + 4 + payload.len(),
+            Err(e) => 3 + 4 + e.message.len(),
+        })
+        .sum();
+    if route {
+        items_len
+    } else {
+        1 + 4 + items_len
     }
 }
 

@@ -25,8 +25,8 @@ use cst::check::{analyze, CheckOptions};
 use cst::comm::CommSet;
 use cst::core::{CstTopology, FaultMask, NodeId};
 use cst::engine::EngineCtx;
-use cst::serve::wire::decode_payload;
-use cst::serve::{ClientError, ErrorCode, ServeClient, ServeConfig, Server};
+use cst::serve::wire::{decode_payload, decode_response, read_frame, write_frame, DEFAULT_MAX_FRAME};
+use cst::serve::{ClientError, ErrorCode, Response, ServeClient, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -266,8 +266,7 @@ fn batch_requests_coalesce_identical_items() {
     let server = Server::bind_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut client = ServeClient::connect_tcp(server.tcp_addr().expect("tcp addr")).expect("connect");
 
-    let batch =
-        vec![sets[0].clone(), sets[1].clone(), sets[0].clone(), sets[2].clone(), sets[1].clone()];
+    let batch: Vec<_> = [0, 1, 0, 2, 1].iter().map(|&i| (sets[i].clone(), None)).collect();
     let items = client.batch("csa", &batch).expect("batch");
     assert_eq!(items.len(), 5);
     let replies: Vec<_> = items.into_iter().map(|r| r.expect("batch item")).collect();
@@ -310,7 +309,7 @@ fn masked_batch_items_route_and_coalesce_per_full_key() {
         (sets[0].clone(), Some(mask.clone())),
     ];
     let replies: Vec<_> = client
-        .batch_masked("csa", &items)
+        .batch("csa", &items)
         .expect("masked batch")
         .into_iter()
         .map(|r| r.expect("batch item"))
@@ -611,5 +610,91 @@ fn oversize_cache_capacity_is_refused_at_bind() {
     let mut client = ServeClient::connect_tcp(server.tcp_addr().expect("tcp addr")).expect("connect");
     let reply = client.route("csa", &sets[0], None).expect("route");
     verify_payload(&CstTopology::with_leaves(PES), "csa", &sets[0], None, &reply.payload);
+    server.shutdown();
+}
+
+/// A 21-byte Route frame declaring 2^40 leaves is refused with a typed
+/// error before anything is sized by its leaf count, and the daemon
+/// keeps serving: a fresh connection gets a normal Route answer.
+#[test]
+fn huge_leaf_count_frame_is_a_typed_error_not_an_abort() {
+    let sets = working_sets();
+    let server = Server::bind_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.tcp_addr().expect("tcp addr");
+
+    let mut body = vec![0x01];
+    body.extend_from_slice(&3u32.to_le_bytes());
+    body.extend_from_slice(b"csa");
+    body.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    body.extend_from_slice(&0u32.to_le_bytes());
+    body.push(0);
+    assert_eq!(body.len(), 21);
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    write_frame(&mut stream, &body).expect("write");
+    let mut answer = Vec::new();
+    assert!(read_frame(&mut stream, &mut answer, DEFAULT_MAX_FRAME).expect("read"));
+    match decode_response(&answer) {
+        Ok(Response::Error(e)) => assert_eq!(e.code, ErrorCode::InvalidRequest),
+        other => panic!("expected a typed InvalidRequest error, got {other:?}"),
+    }
+    drop(stream);
+
+    let mut client = ServeClient::connect_tcp(addr).expect("connect");
+    let reply = client.route("csa", &sets[0], None).expect("route after the refused frame");
+    verify_payload(&CstTopology::with_leaves(PES), "csa", &sets[0], None, &reply.payload);
+
+    // The refused frame was never admitted: it is one error, not a
+    // request or a miss.
+    let s = server.stats();
+    assert_eq!((s.frames, s.errors), (2, 1));
+    assert_eq!((s.requests, s.responses), (1, 1));
+    assert_eq!(s.cache.hits + s.cache.misses, s.requests);
+    server.shutdown();
+}
+
+/// `max_frame` caps responses as well as requests: a Batch whose
+/// payloads add up past the cap gets a typed `Oversize` error (every
+/// item counting as an error), a Batch at the cap is answered as
+/// before, and the connection stays usable.
+#[test]
+fn batch_responses_over_the_frame_cap_are_refused() {
+    let sets = working_sets();
+    let topo = CstTopology::with_leaves(PES);
+
+    // One payload's size, from a server with the default cap.
+    let server = Server::bind_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut client = ServeClient::connect_tcp(server.tcp_addr().expect("tcp addr")).expect("connect");
+    let payload = client.route("csa", &sets[0], None).expect("route").payload;
+    server.shutdown();
+
+    // A Batch response is a 5-byte header plus 6 bytes and the payload
+    // per item: the cap fits exactly three copies.
+    let max_frame = 5 + 3 * (6 + payload.len());
+    let server =
+        Server::bind_tcp("127.0.0.1:0", ServeConfig { max_frame, ..Default::default() }).expect("bind");
+    let mut client = ServeClient::connect_tcp(server.tcp_addr().expect("tcp addr")).expect("connect");
+    let items = |n: usize| vec![(sets[0].clone(), None); n];
+
+    let replies = client.batch("csa", &items(3)).expect("batch at the cap");
+    assert_eq!(replies.len(), 3);
+    for reply in &replies {
+        let reply = reply.as_ref().expect("batch item");
+        assert_eq!(reply.payload, payload, "a batch under the cap is answered unchanged");
+        verify_payload(&topo, "csa", &sets[0], None, &reply.payload);
+    }
+    match client.batch("csa", &items(4)) {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Oversize),
+        other => panic!("expected a typed Oversize error, got {other:?}"),
+    }
+    let reply = client.route("csa", &sets[0], None).expect("route after the refused batch");
+    assert_eq!(reply.payload, payload);
+
+    let s = server.stats();
+    assert_eq!(s.requests, 3 + 4 + 1);
+    assert_eq!(s.coalesced, 2 + 3);
+    assert_eq!((s.responses, s.errors), (3 + 1, 4), "every item of the refused batch is an error");
+    assert_eq!(s.responses + s.errors, s.requests);
+    assert_eq!(s.cache.hits + s.cache.misses + s.coalesced_waits, s.requests - s.coalesced);
+    assert_eq!((s.computations, s.cache.misses), (1, 1));
     server.shutdown();
 }

@@ -4,22 +4,24 @@
 //! and oversized frames with typed errors (never a panic), pins one
 //! canonical Route frame byte-for-byte, and drives the server's
 //! [`WorkerCore`] with hostile bytes to prove malformed input always
-//! comes back as a typed error frame.
+//! comes back as a typed error frame. Requests are decoded with
+//! [`RequestDecoder`], the decoder `WorkerCore::handle_frame` runs.
 
 use cst::comm::CommSet;
 use cst::core::{CstTopology, DirectedLink, FaultMask, NodeId};
 use cst::engine::CacheStats;
 use cst::serve::wire::{
-    decode_payload, decode_request, decode_response, encode_batch_masked_request,
-    encode_batch_request, encode_batch_response, encode_error_response, encode_payload,
-    encode_request, encode_reset_request, encode_route_request, encode_route_response,
-    encode_stats_request, encode_stats_response, read_frame, write_frame, DegradationSummary,
-    FrameError, DEFAULT_MAX_FRAME, STATS_MINOR,
+    decode_payload, decode_response, encode_batch_request, encode_batch_response,
+    encode_error_response, encode_payload, encode_reset_request, encode_route_request,
+    encode_route_response, encode_stats_request, encode_stats_response, read_frame,
+    served_response_len, write_frame, DegradationSummary, FrameError, RequestDecoder,
+    RequestView, ServedItem, DEFAULT_MAX_FRAME, MAX_LEAVES, REQ_BATCH, REQ_RESET, REQ_ROUTE,
+    REQ_STATS, STATS_MINOR,
 };
-use cst::serve::{ErrorCode, ErrorFrame, Request, Response, ServeConfig, ServeShared, ServeStats, WorkerCore};
+use cst::serve::{ErrorCode, ErrorFrame, Response, ServeConfig, ServeShared, ServeStats, WorkerCore};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn sample_set() -> CommSet {
@@ -42,57 +44,41 @@ fn sample_error() -> ErrorFrame {
     ErrorFrame { code: ErrorCode::InvalidRequest, message: "leaf 9 out of range".to_string() }
 }
 
+/// Assert that a decoded view carries exactly `kind`, `router` and
+/// `items`, each item on the topology of its own leaf count.
+fn assert_view(view: RequestView<'_>, kind: u8, router: &str, items: &[(CommSet, Option<FaultMask>)]) {
+    assert_eq!(view.kind, kind);
+    assert_eq!(view.router, router);
+    assert_eq!(view.items.len(), items.len());
+    for (got, (set, mask)) in view.items.iter().zip(items) {
+        assert_eq!(&got.set, set);
+        assert_eq!(got.topo.num_leaves(), set.num_leaves());
+        assert_eq!(got.mask.as_ref(), mask.as_ref());
+    }
+}
+
 #[test]
 fn requests_round_trip() {
+    // One decoder for every frame, as a worker holds one: each decode
+    // must forget the previous frame's items and masks.
+    let mut decoder = RequestDecoder::new();
     let mut buf = Vec::new();
-    let originals = vec![
-        Request::Route { router: "csa".into(), set: sample_set(), mask: None },
-        Request::Route { router: "greedy".into(), set: sample_set(), mask: Some(sample_mask()) },
-        Request::Batch {
-            router: "general".into(),
-            items: vec![
-                (sample_set(), Some(sample_mask())),
-                (CommSet::from_pairs(4, &[(0, 3)]), None),
-            ],
-        },
-        Request::Stats,
-        Request::Reset,
-    ];
-    for req in originals {
-        encode_request(&mut buf, &req);
-        let decoded = decode_request(&buf).expect("round trip decodes");
-        // Masks are compared through the fingerprint the cache itself
-        // keys on — the codec identity the protocol actually relies on.
-        match (&req, &decoded) {
-            (
-                Request::Route { router: r1, set: s1, mask: m1 },
-                Request::Route { router: r2, set: s2, mask: m2 },
-            ) => {
-                assert_eq!(r1, r2);
-                assert_eq!(s1, s2);
-                assert_eq!(
-                    m1.as_ref().map(FaultMask::fingerprint),
-                    m2.as_ref().map(FaultMask::fingerprint)
-                );
-            }
-            (
-                Request::Batch { router: r1, items: x1 },
-                Request::Batch { router: r2, items: x2 },
-            ) => {
-                assert_eq!(r1, r2);
-                assert_eq!(x1.len(), x2.len());
-                for ((s1, m1), (s2, m2)) in x1.iter().zip(x2) {
-                    assert_eq!(s1, s2);
-                    assert_eq!(
-                        m1.as_ref().map(FaultMask::fingerprint),
-                        m2.as_ref().map(FaultMask::fingerprint)
-                    );
-                }
-            }
-            (Request::Stats, Request::Stats) | (Request::Reset, Request::Reset) => {}
-            other => panic!("request changed shape across the wire: {other:?}"),
-        }
-    }
+    let masked = vec![(sample_set(), Some(sample_mask()))];
+    let plain = vec![(sample_set(), None)];
+    let batch = vec![(sample_set(), Some(sample_mask())), (CommSet::from_pairs(4, &[(0, 3)]), None)];
+
+    encode_route_request(&mut buf, "csa", &sample_set(), None);
+    assert_view(decoder.decode(&buf).expect("route decodes"), REQ_ROUTE, "csa", &plain);
+    encode_route_request(&mut buf, "greedy", &sample_set(), Some(&sample_mask()));
+    assert_view(decoder.decode(&buf).expect("masked route decodes"), REQ_ROUTE, "greedy", &masked);
+    encode_batch_request(&mut buf, "general", &batch);
+    assert_view(decoder.decode(&buf).expect("batch decodes"), REQ_BATCH, "general", &batch);
+    encode_stats_request(&mut buf);
+    assert_view(decoder.decode(&buf).expect("stats decodes"), REQ_STATS, "", &[]);
+    encode_reset_request(&mut buf);
+    assert_view(decoder.decode(&buf).expect("reset decodes"), REQ_RESET, "", &[]);
+    encode_route_request(&mut buf, "csa", &sample_set(), None);
+    assert_view(decoder.decode(&buf).expect("route decodes again"), REQ_ROUTE, "csa", &plain);
 }
 
 fn sample_stats() -> ServeStats {
@@ -252,7 +238,7 @@ fn golden_batch_request_bytes() {
     let topo = CstTopology::with_leaves(4);
     let mut mask = FaultMask::empty(&topo);
     assert!(mask.kill_switch(NodeId(1)));
-    encode_batch_masked_request(&mut buf, "csa", &[(set.clone(), None), (set, Some(mask))]);
+    encode_batch_request(&mut buf, "csa", &[(set.clone(), None), (set, Some(mask))]);
     #[rustfmt::skip]
     let golden: Vec<u8> = vec![
         0x02,                                           // kind = Batch
@@ -281,21 +267,9 @@ fn masked_batch_requests_round_trip() {
     let mut buf = Vec::new();
     let items =
         vec![(sample_set(), None), (sample_set(), Some(sample_mask())), (sample_set(), None)];
-    encode_batch_masked_request(&mut buf, "greedy", &items);
-    match decode_request(&buf).expect("masked batch decodes") {
-        Request::Batch { router, items: decoded } => {
-            assert_eq!(router, "greedy");
-            assert_eq!(decoded.len(), items.len());
-            for ((s1, m1), (s2, m2)) in items.iter().zip(&decoded) {
-                assert_eq!(s1, s2);
-                assert_eq!(
-                    m1.as_ref().map(FaultMask::fingerprint),
-                    m2.as_ref().map(FaultMask::fingerprint)
-                );
-            }
-        }
-        other => panic!("expected Batch, got {other:?}"),
-    }
+    encode_batch_request(&mut buf, "greedy", &items);
+    let mut decoder = RequestDecoder::new();
+    assert_view(decoder.decode(&buf).expect("masked batch decodes"), REQ_BATCH, "greedy", &items);
 }
 
 #[test]
@@ -303,18 +277,22 @@ fn hostile_batch_mask_tags_are_typed_errors() {
     // A mask tag outside {0, 1} on any item must be a typed decode
     // error, and the serving core must answer it with an error frame.
     let mut buf = Vec::new();
-    encode_batch_masked_request(&mut buf, "csa", &[(sample_set(), None)]);
+    encode_batch_request(&mut buf, "csa", &[(sample_set(), None)]);
     let tag_pos = buf.len() - 1;
     assert_eq!(buf[tag_pos], 0);
     buf[tag_pos] = 2;
-    assert!(decode_request(&buf).is_err(), "mask tag 2 must not decode");
+    let err = RequestDecoder::new().decode(&buf).expect_err("mask tag 2 must not decode");
+    assert_eq!(err.code, ErrorCode::BadFrame);
 
     let shared = Arc::new(ServeShared::new(ServeConfig::default()));
     let mut core = WorkerCore::new(shared);
     let mut out = Vec::new();
     core.handle_frame(&buf, &mut out);
     match decode_response(&out) {
-        Ok(Response::Error(e)) => assert!(!e.message.is_empty()),
+        Ok(Response::Error(e)) => {
+            assert_eq!(e.code, ErrorCode::BadFrame);
+            assert!(!e.message.is_empty());
+        }
         other => panic!("expected a typed error frame, got {other:?}"),
     }
 }
@@ -325,20 +303,21 @@ fn every_truncated_prefix_is_a_typed_error_never_a_panic() {
     let mut buf = Vec::new();
     encode_route_request(&mut buf, "csa", &sample_set(), Some(&sample_mask()));
     bodies.push(buf.clone());
-    encode_batch_request(&mut buf, "csa", &[sample_set(), sample_set()]);
+    encode_batch_request(&mut buf, "csa", &[(sample_set(), None), (sample_set(), None)]);
     bodies.push(buf.clone());
-    encode_batch_masked_request(&mut buf, "csa", &[(sample_set(), Some(sample_mask()))]);
+    encode_batch_request(&mut buf, "csa", &[(sample_set(), Some(sample_mask()))]);
     bodies.push(buf.clone());
     encode_stats_request(&mut buf);
     bodies.push(buf.clone());
+    let mut decoder = RequestDecoder::new();
     for body in &bodies {
         for cut in 0..body.len() {
             assert!(
-                decode_request(&body[..cut]).is_err(),
+                decoder.decode(&body[..cut]).is_err(),
                 "strict prefix of length {cut} must fail to decode"
             );
         }
-        assert!(decode_request(body).is_ok());
+        assert!(decoder.decode(body).is_ok());
     }
 
     let payload: Arc<[u8]> = Arc::from(&b"xyz"[..]);
@@ -437,7 +416,8 @@ fn trailing_garbage_is_rejected() {
     let mut buf = Vec::new();
     encode_reset_request(&mut buf);
     buf.push(0xAB);
-    assert!(decode_request(&buf).is_err(), "a valid body plus trailing bytes must not decode");
+    let err = RequestDecoder::new().decode(&buf).expect_err("a valid body plus trailing bytes must not decode");
+    assert_eq!(err.code, ErrorCode::BadFrame);
 }
 
 #[test]
@@ -479,39 +459,152 @@ fn oversized_and_truncated_frames_are_typed_io_errors() {
     assert_eq!(body, b"hello world");
 }
 
+/// A hand-built Route (`batch == false`) or one-item Batch body for
+/// router "csa": a set of `num_leaves` with `pairs`, then `tail` (the
+/// mask tag and any mask bytes).
+fn raw_request(batch: bool, num_leaves: u64, pairs: &[(u32, u32)], tail: &[u8]) -> Vec<u8> {
+    let mut buf = vec![if batch { 0x02 } else { 0x01 }];
+    buf.extend_from_slice(&3u32.to_le_bytes());
+    buf.extend_from_slice(b"csa");
+    if batch {
+        buf.extend_from_slice(&1u32.to_le_bytes());
+    }
+    buf.extend_from_slice(&num_leaves.to_le_bytes());
+    buf.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+    for &(s, d) in pairs {
+        buf.extend_from_slice(&s.to_le_bytes());
+        buf.extend_from_slice(&d.to_le_bytes());
+    }
+    buf.extend_from_slice(tail);
+    buf
+}
+
+/// Mask bytes (tag 1) killing one switch `id` and nothing else.
+fn dead_switch_mask(id: u32) -> Vec<u8> {
+    let mut tail = vec![1];
+    for word in [1, id, 0, 0] {
+        tail.extend_from_slice(&word.to_le_bytes());
+    }
+    tail
+}
+
+/// Drive `body` through a fresh worker and return the error code of the
+/// error frame it must answer with.
+fn error_code_for(core: &mut WorkerCore, body: &[u8]) -> ErrorCode {
+    let mut out = Vec::new();
+    core.handle_frame(body, &mut out);
+    match decode_response(&out) {
+        Ok(Response::Error(e)) => {
+            assert!(!e.message.is_empty(), "error frames carry a message");
+            e.code
+        }
+        other => panic!("expected a typed error frame, got {other:?}"),
+    }
+}
+
 #[test]
 fn worker_core_answers_hostile_bytes_with_typed_error_frames() {
+    // Structure (truncation, bad tag, trailing bytes) is `BadFrame`;
+    // set, topology and mask validation is `InvalidRequest` — in a
+    // Route frame and in a Batch frame alike.
+    use ErrorCode::{BadFrame, InvalidRequest};
     let shared = Arc::new(ServeShared::new(ServeConfig::default()));
-    let mut core = WorkerCore::new(shared);
-    let mut out = Vec::new();
-    let hostile: Vec<Vec<u8>> = vec![
-        vec![],                                  // empty body
-        vec![0x7F],                              // unknown request kind
-        vec![0x01, 0xFF, 0xFF, 0xFF, 0xFF],      // router length = u32::MAX
-        vec![0x01, 0x03, 0x00, 0x00, 0x00],      // router bytes missing
-        {
-            // Valid route request for a set that fails validation
-            // (self-communication 2 -> 2).
-            let mut buf = Vec::new();
-            buf.push(0x01);
-            buf.extend_from_slice(&3u32.to_le_bytes());
-            buf.extend_from_slice(b"csa");
-            buf.extend_from_slice(&8u64.to_le_bytes());
-            buf.extend_from_slice(&1u32.to_le_bytes());
-            buf.extend_from_slice(&2u32.to_le_bytes());
-            buf.extend_from_slice(&2u32.to_le_bytes());
-            buf.push(0);
-            buf
-        },
+    let mut core = WorkerCore::new(Arc::clone(&shared));
+    let self_comm: &[(u32, u32)] = &[(2, 2)];
+    let ok_pair: &[(u32, u32)] = &[(0, 7)];
+    let hostile: Vec<(&str, Vec<u8>, ErrorCode)> = vec![
+        ("empty body", vec![], BadFrame),
+        ("unknown request kind", vec![0x7F], BadFrame),
+        ("router length = u32::MAX", vec![0x01, 0xFF, 0xFF, 0xFF, 0xFF], BadFrame),
+        ("router bytes missing", vec![0x01, 0x03, 0x00, 0x00, 0x00], BadFrame),
+        ("route, self-communication 2 -> 2", raw_request(false, 8, self_comm, &[0]), InvalidRequest),
+        ("batch, self-communication 2 -> 2", raw_request(true, 8, self_comm, &[0]), InvalidRequest),
+        ("route, leaf 9 of 8", raw_request(false, 8, &[(0, 9)], &[0]), InvalidRequest),
+        ("route, 6 leaves", raw_request(false, 6, ok_pair, &[0]), InvalidRequest),
+        ("batch, 0 leaves", raw_request(true, 0, &[], &[0]), InvalidRequest),
+        ("route, dead-switch id 99", raw_request(false, 8, ok_pair, &dead_switch_mask(99)), InvalidRequest),
+        ("batch, dead-switch id 99", raw_request(true, 8, ok_pair, &dead_switch_mask(99)), InvalidRequest),
+        ("route, mask tag 2", raw_request(false, 8, ok_pair, &[2]), BadFrame),
+        ("route, pairs truncated", raw_request(false, 8, ok_pair, &[])[..24].to_vec(), BadFrame),
+        ("route, trailing byte", raw_request(false, 8, ok_pair, &[0, 0xAB]), BadFrame),
+        ("stats, trailing byte", vec![0x03, 0x00], BadFrame),
     ];
-    for (i, body) in hostile.iter().enumerate() {
-        core.handle_frame(body, &mut out);
-        match decode_response(&out) {
-            Ok(Response::Error(e)) => {
-                assert!(!e.message.is_empty(), "case {i}: error frames carry a message")
-            }
-            other => panic!("case {i}: expected a typed error frame, got {other:?}"),
-        }
+    for (case, body, code) in &hostile {
+        assert_eq!(error_code_for(&mut core, body), *code, "{case}");
+        let decoded = RequestDecoder::new().decode(body).map(|_| ()).map_err(|e| e.code);
+        assert_eq!(decoded, Err(*code), "{case}: the decoder classifies it the same way");
+    }
+    // Every refusal happened at decode: nothing was admitted or probed.
+    let s = shared.stats();
+    assert_eq!((s.frames, s.errors), (hostile.len() as u64, hostile.len() as u64));
+    assert_eq!((s.requests, s.cache.hits + s.cache.misses), (0, 0));
+
+    // The worker still serves a valid frame afterwards.
+    let mut out = Vec::new();
+    core.handle_frame(&raw_request(false, 8, ok_pair, &[0]), &mut out);
+    assert!(matches!(decode_response(&out), Ok(Response::Route(_))));
+}
+
+#[test]
+fn huge_leaf_counts_are_refused_before_allocating() {
+    // A 21-byte Route frame declaring 2^40 leaves and no pairs: the
+    // leaf count must be refused before anything is sized by it, in a
+    // Route frame and as a Batch item, masked or not.
+    let shared = Arc::new(ServeShared::new(ServeConfig::default()));
+    let mut core = WorkerCore::new(Arc::clone(&shared));
+    let route = raw_request(false, 1 << 40, &[], &[0]);
+    assert_eq!(route.len(), 21);
+    let bodies = [
+        route,
+        raw_request(true, 1 << 40, &[], &[0]),
+        raw_request(false, 1 << 40, &[], &dead_switch_mask(1)),
+        raw_request(true, 2 * MAX_LEAVES as u64, &[], &[0]),
+        raw_request(false, u64::MAX, &[], &[0]),
+    ];
+    for body in &bodies {
+        assert_eq!(error_code_for(&mut core, body), ErrorCode::InvalidRequest);
+    }
+    let s = shared.stats();
+    assert_eq!((s.requests, s.errors), (0, bodies.len() as u64));
+
+    // MAX_LEAVES itself is a valid size.
+    let mut out = Vec::new();
+    core.handle_frame(&raw_request(false, MAX_LEAVES as u64, &[(0, 1)], &[0]), &mut out);
+    assert!(matches!(decode_response(&out), Ok(Response::Route(_))));
+}
+
+#[test]
+fn masked_items_share_one_leaf_budget_per_frame() {
+    // Each decoded mask is sized by its topology, so the masked items of
+    // one frame may declare at most MAX_LEAVES leaves together.
+    let n = MAX_LEAVES / 4;
+    let mut topo_mask = FaultMask::empty(&CstTopology::with_leaves(n));
+    assert!(topo_mask.kill_switch(NodeId(1)));
+    let set = CommSet::from_pairs(n, &[(0, n - 1)]);
+    let mut buf = Vec::new();
+    let mut decoder = RequestDecoder::new();
+    let at_budget = vec![(set.clone(), Some(topo_mask.clone())); 4];
+    encode_batch_request(&mut buf, "csa", &at_budget);
+    assert_eq!(decoder.decode(&buf).expect("4 x MAX_LEAVES/4 fits").items.len(), 4);
+    let over_budget = vec![(set, Some(topo_mask)); 5];
+    encode_batch_request(&mut buf, "csa", &over_budget);
+    let err = decoder.decode(&buf).expect_err("5 x MAX_LEAVES/4 is over the budget");
+    assert_eq!(err.code, ErrorCode::InvalidRequest);
+}
+
+#[test]
+fn served_response_len_matches_the_encoders() {
+    let payload: Arc<[u8]> = Arc::from(&b"payload-bytes"[..]);
+    let mut buf = Vec::new();
+    let ok: ServedItem = Ok((true, Arc::clone(&payload)));
+    let err: ServedItem = Err(sample_error());
+    encode_route_response(&mut buf, true, &payload);
+    assert_eq!(served_response_len(true, std::slice::from_ref(&ok)), buf.len());
+    encode_error_response(&mut buf, &sample_error());
+    assert_eq!(served_response_len(true, std::slice::from_ref(&err)), buf.len());
+    for items in [vec![], vec![ok.clone()], vec![ok.clone(), err.clone(), ok]] {
+        encode_batch_response(&mut buf, &items);
+        assert_eq!(served_response_len(false, &items), buf.len());
     }
 }
 
@@ -527,25 +620,59 @@ proptest! {
         let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.6);
         let mut buf = Vec::new();
         encode_route_request(&mut buf, "csa-parallel", &set, None);
-        match decode_request(&buf) {
-            Ok(Request::Route { router, set: decoded, mask: None }) => {
-                prop_assert_eq!(router, "csa-parallel");
-                prop_assert_eq!(decoded, set);
-            }
-            other => prop_assert!(false, "unexpected decode: {:?}", other),
-        }
+        let mut decoder = RequestDecoder::new();
+        let view = decoder.decode(&buf).expect("route decodes");
+        prop_assert_eq!(view.kind, REQ_ROUTE);
+        prop_assert_eq!(view.router, "csa-parallel");
+        prop_assert_eq!(view.items.len(), 1);
+        prop_assert_eq!(&view.items[0].set, &set);
+        prop_assert!(view.items[0].mask.is_none());
     }
 
     /// Arbitrary byte soup never panics the request decoder; it decodes
-    /// or it returns a typed `WireError`.
+    /// or it returns a typed error.
     #[test]
     fn decoders_never_panic_on_byte_soup(
         bytes in proptest::collection::vec(0u8..=255u8, 256),
         len in 0usize..=256,
     ) {
         let soup = &bytes[..len];
-        let _ = decode_request(soup);
+        let _ = RequestDecoder::new().decode(soup);
         let _ = decode_response(soup);
         let _ = decode_payload(soup);
+    }
+
+    /// The serving core answers every body — random soup, or a valid
+    /// request with random bytes written over it — with exactly one
+    /// response that decodes. Never a panic, never an undecodable frame.
+    #[test]
+    fn worker_core_answers_byte_soup_with_decodable_frames(
+        kind in 0usize..4,
+        seed in 0u64..1_000_000,
+        soup in proptest::collection::vec(0u8..=255u8, 64),
+    ) {
+        let mut body = Vec::new();
+        match kind {
+            0 => encode_route_request(&mut body, "csa", &sample_set(), None),
+            1 => encode_route_request(&mut body, "greedy", &sample_set(), Some(&sample_mask())),
+            2 => encode_batch_request(
+                &mut body,
+                "csa",
+                &[(sample_set(), Some(sample_mask())), (sample_set(), None)],
+            ),
+            _ => body.extend_from_slice(&soup),
+        }
+        // Overwrite up to 5 random bytes, then cut at a random length.
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..rng.gen_range(0..6usize) {
+            let i = rng.gen_range(0..body.len());
+            body[i] = rng.gen_range(0..=255u8);
+        }
+        body.truncate(rng.gen_range(0..=body.len()));
+        let shared = Arc::new(ServeShared::new(ServeConfig::default()));
+        let mut core = WorkerCore::new(shared);
+        let mut out = Vec::new();
+        core.handle_frame(&body, &mut out);
+        prop_assert!(decode_response(&out).is_ok(), "undecodable answer to {:?}", body);
     }
 }
